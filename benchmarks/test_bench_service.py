@@ -2,7 +2,8 @@
 
 Measures the two properties the service exists for, over a live HTTP
 round-trip (real sockets, real JSON), and writes the machine-readable
-``BENCH_service.json`` artifact at the repo root:
+``BENCH_service.json`` artifact into ``REPRO_BENCH_DIR`` (a temp dir when
+that is unset):
 
 * **Warm-cache latency.**  A long-lived service amortises import and
   pool-spinup cost and keeps the result caches warm, so resubmitting a job
@@ -17,14 +18,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from conftest import emit
 
 from repro.service import JobService, ServiceClient, serve
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
 SWEEP_SPEC = {"kernel": "fft", "memory_sizes": [4, 8, 64], "scale": 10}
 EXPERIMENT_SPEC = {
@@ -89,7 +87,7 @@ def test_bench_submit_latency_cold_vs_warm(live_service):
     test_bench_submit_latency_cold_vs_warm.payload = payload
 
 
-def test_bench_dedup_factor_for_identical_jobs(live_service):
+def test_bench_dedup_factor_for_identical_jobs(live_service, bench_dir):
     """8 identical concurrent submissions run the underlying tasks once."""
     service, client = live_service
     submissions = 8
@@ -134,5 +132,6 @@ def test_bench_dedup_factor_for_identical_jobs(live_service):
         "latency": latency,
         "dedup": payload,
     }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
-    emit("Service benchmark artifact", f"wrote {BENCH_PATH.name}")
+    bench_path = bench_dir / "BENCH_service.json"
+    bench_path.write_text(json.dumps(bench, indent=2) + "\n")
+    emit("Service benchmark artifact", f"wrote {bench_path}")

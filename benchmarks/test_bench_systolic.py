@@ -7,8 +7,9 @@ simulations of an output-stationary matmul mesh, a linear matvec array and
 the Gentleman-Kung triangular QR array on streams of problem instances,
 checking numerical correctness and steady-state cell utilization -- and time
 the validating reference engine against the vectorized wavefront engine,
-writing the machine-readable ``BENCH_systolic.json`` artifact at the repo
-root (the perf baseline the CI perf-smoke job asserts against).
+writing the machine-readable ``BENCH_systolic.json`` artifact (the perf
+baseline the CI perf-smoke job asserts against) into ``REPRO_BENCH_DIR``, or
+a temp dir when that is unset.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 from conftest import emit
@@ -24,8 +24,6 @@ from conftest import emit
 from repro.arrays.systolic import LinearMatvecArray, OutputStationaryMatmulArray
 from repro.arrays.triangular_qr import GentlemanKungTriangularArray
 from repro.experiments.arrays_section4 import run_systolic_experiment
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_systolic.json"
 
 #: (order, batches) grid for the matmul mesh timing rows.
 MATMUL_CASES = ((8, 8), (16, 8), (32, 8))
@@ -74,7 +72,7 @@ def test_bench_systolic_arrays(benchmark):
     assert experiment.qr_utilization >= 0.8
 
 
-def test_bench_wavefront_engine_vs_reference():
+def test_bench_wavefront_engine_vs_reference(bench_dir):
     """Reference vs fast engines across orders; writes BENCH_systolic.json.
 
     The fast engines must be bitwise identical (outputs, cycle counts,
@@ -218,10 +216,11 @@ def test_bench_wavefront_engine_vs_reference():
         "matvec": rows["matvec"],
         "qr": rows["qr"],
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_path = bench_dir / "BENCH_systolic.json"
+    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Wavefront engine vs reference engine (BENCH_systolic.json)",
-        "\n".join(lines) + f"\nwrote {BENCH_PATH.name}",
+        "\n".join(lines) + f"\nwrote {bench_path}",
     )
 
     # Speedup floors (the CI perf-smoke job re-asserts these from the

@@ -18,6 +18,7 @@ words.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -42,8 +43,9 @@ class OperationCounter:
 
     def add(self, count: float) -> None:
         """Record ``count`` operations."""
-        if count < 0:
-            raise ConfigurationError(f"operation count must be non-negative, got {count!r}")
+        # One chained comparison is False for negatives, NaN and +inf alike.
+        if not 0 <= count < math.inf:
+            raise ConfigurationError(f"operation count must be finite and >= 0, got {count!r}")
         self._total += float(count)
 
     @property
@@ -65,14 +67,14 @@ class IOCounter:
 
     def read(self, words: float) -> None:
         """Record ``words`` words read from external memory into the PE."""
-        if words < 0:
-            raise ConfigurationError(f"word count must be non-negative, got {words!r}")
+        if not 0 <= words < math.inf:
+            raise ConfigurationError(f"word count must be finite and >= 0, got {words!r}")
         self._read += float(words)
 
     def write(self, words: float) -> None:
         """Record ``words`` words written from the PE to external memory."""
-        if words < 0:
-            raise ConfigurationError(f"word count must be non-negative, got {words!r}")
+        if not 0 <= words < math.inf:
+            raise ConfigurationError(f"word count must be finite and >= 0, got {words!r}")
         self._written += float(words)
 
     @property

@@ -14,7 +14,12 @@ transfers, so the intensity is ``Theta(log2 M)`` and rebalancing requires
 Within a pass, the indices that interact form independent groups of ``B``
 points; every group is gathered into local memory, its butterflies are
 applied with the correct global twiddle factors, and it is scattered back.
-The result is verified against ``numpy.fft.fft``.
+The groups of a pass are independent, so they move as one ``(groups, B)``
+array and each stage's butterflies run on all of them at once; the pass is
+charged in closed form (``2B`` words in and out per group, ``B/2``
+butterflies per group and stage, one ``2B``-word block resident at a time),
+which is exactly what the per-group execution would count.  The result is
+verified against ``numpy.fft.fft``.
 
 :func:`decomposition_plan` exposes the pass/group structure itself so the
 Figure 2 experiment can reconstruct the paper's picture for ``N=16, M=4``.
@@ -74,6 +79,33 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return reversed_indices
 
 
+def _pass_bounds(n_points: int, memory_words: int) -> list[tuple[int, int]]:
+    """``(first_stage, last_stage)`` of every pass: ``log2 B`` stages each."""
+    if n_points < 2 or n_points & (n_points - 1):
+        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n_points}")
+    block = min(block_points_for_memory(memory_words), n_points)
+    total_stages = int(math.log2(n_points))
+    stages_per_pass = int(math.log2(block))
+    return [
+        (stage, min(stage + stages_per_pass, total_stages))
+        for stage in range(0, total_stages, stages_per_pass)
+    ]
+
+
+def _group_indices(n_points: int, first_stage: int, last_stage: int) -> np.ndarray:
+    """The ``(groups, B)`` global indices co-resident in one pass.
+
+    Group keys are the indices whose stage bits ``[first_stage, last_stage)``
+    are zero, in ascending order; member ``j`` of a group is
+    ``key | (j << first_stage)``.
+    """
+    indices = np.arange(n_points)
+    mid_mask = ((1 << last_stage) - 1) ^ ((1 << first_stage) - 1)
+    keys = indices[(indices & mid_mask) == 0]
+    offsets = np.arange(1 << (last_stage - first_stage)) << first_stage
+    return keys[:, None] | offsets[None, :]
+
+
 def decomposition_plan(n_points: int, memory_words: int) -> list[FFTPass]:
     """The Figure-2 decomposition: passes and per-pass index groups.
 
@@ -81,37 +113,15 @@ def decomposition_plan(n_points: int, memory_words: int) -> list[FFTPass]:
     for the final pass when ``log2 N`` is not a multiple of ``log2 B``) and
     lists the groups of global indices that are co-resident in local memory.
     """
-    if n_points < 2 or n_points & (n_points - 1):
-        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n_points}")
-    block = min(block_points_for_memory(memory_words), n_points)
-    total_stages = int(math.log2(n_points))
-    stages_per_pass = int(math.log2(block))
-    passes: list[FFTPass] = []
-    stage = 0
-    while stage < total_stages:
-        last = min(stage + stages_per_pass, total_stages)
-        span = last - stage
-        group_size = 1 << span
-        mid_mask = ((1 << last) - 1) ^ ((1 << stage) - 1)
-        groups: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for index in range(n_points):
-            key = index & ~mid_mask
-            if key in seen:
-                continue
-            seen.add(key)
-            members = tuple(key | (j << stage) for j in range(group_size))
-            groups.append(members)
-        passes.append(
-            FFTPass(
-                first_stage=stage,
-                last_stage=last,
-                group_size=group_size,
-                groups=tuple(groups),
-            )
+    return [
+        FFTPass(
+            first_stage=first,
+            last_stage=last,
+            group_size=1 << (last - first),
+            groups=tuple(map(tuple, _group_indices(n_points, first, last).tolist())),
         )
-        stage = last
-    return passes
+        for first, last in _pass_bounds(n_points, memory_words)
+    ]
 
 
 class BlockedFFT(Kernel):
@@ -142,8 +152,7 @@ class BlockedFFT(Kernel):
     def _run(self, ctx: ExecutionContext, *, x: np.ndarray) -> np.ndarray:
         data = np.array(x, dtype=complex, copy=True)
         n = data.shape[0]
-        if n < 2 or n & (n - 1):
-            raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n}")
+        passes = _pass_bounds(n, ctx.memory.capacity_words)
 
         # The decimation-in-time ordering starts from bit-reversed input.  As
         # in Figure 2, the shuffles between subcomputation blocks are
@@ -152,45 +161,31 @@ class BlockedFFT(Kernel):
         # bit-reversal is an addressing convention, not an I/O pass: every
         # word is still charged exactly once per pass when its block reads
         # and writes it.
-        permutation = _bit_reverse_indices(n)
-        data = data[permutation]
+        data = data[_bit_reverse_indices(n)]
 
-        plan = decomposition_plan(n, ctx.memory.capacity_words)
-        for fft_pass in plan:
-            pass_ops = 0.0
-            pass_io = 0.0
-            for group in fft_pass.groups:
-                group_size = len(group)
-                words = group_size * WORDS_PER_COMPLEX
-                with ctx.memory.buffer("fft_block", words):
-                    ctx.io.read(words)
-                    pass_io += words
-                    block = data[list(group)]
-
-                    for stage in range(fft_pass.first_stage, fft_pass.last_stage):
-                        local_bit = stage - fft_pass.first_stage
-                        half = 1 << local_bit
-                        span = 1 << (stage + 1)
-                        for j in range(group_size):
-                            if j & half:
-                                continue
-                            partner = j | half
-                            global_index = group[j]
-                            twiddle_exponent = global_index % (1 << stage)
-                            w = np.exp(-2j * np.pi * twiddle_exponent / span)
-                            t = w * block[partner]
-                            u = block[j]
-                            block[j] = u + t
-                            block[partner] = u - t
-                            ctx.ops.add(OPS_PER_BUTTERFLY)
-                            pass_ops += OPS_PER_BUTTERFLY
-
-                    data[list(group)] = block
-                    ctx.io.write(words)
-                    pass_io += words
-            ctx.phases.record(
-                f"stages[{fft_pass.first_stage}:{fft_pass.last_stage}]",
-                pass_ops,
-                pass_io,
-            )
+        for first, last in passes:
+            index = _group_indices(n, first, last)
+            groups, points = index.shape
+            words = points * WORDS_PER_COMPLEX
+            # One block of B points is resident at a time; every group of
+            # the pass reads and writes its B points once and performs B/2
+            # butterflies per stage.
+            pass_ops = float(OPS_PER_BUTTERFLY * groups * (points // 2) * (last - first))
+            pass_words = float(words * groups)
+            with ctx.memory.buffer("fft_block", words):
+                ctx.io.read(pass_words)
+                block = data[index]
+                for stage in range(first, last):
+                    half = 1 << (stage - first)
+                    pairs = block.reshape(groups, -1, 2, half)
+                    lower = index.reshape(groups, -1, 2, half)[:, :, 0, :]
+                    twiddle_exponent = lower % (1 << stage)
+                    w = np.exp(-2j * np.pi * twiddle_exponent / (1 << (stage + 1)))
+                    t = w * pairs[:, :, 1, :]
+                    u = pairs[:, :, 0, :]
+                    pairs[:, :, 0, :], pairs[:, :, 1, :] = u + t, u - t
+                ctx.ops.add(pass_ops)
+                data[index] = block
+                ctx.io.write(pass_words)
+            ctx.phases.record(f"stages[{first}:{last}]", pass_ops, 2.0 * pass_words)
         return data

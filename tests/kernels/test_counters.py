@@ -33,6 +33,13 @@ class TestOperationCounter:
         with pytest.raises(ConfigurationError):
             OperationCounter().add(-1)
 
+    @pytest.mark.parametrize("count", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, count):
+        counter = OperationCounter()
+        with pytest.raises(ConfigurationError, match=repr(count)):
+            counter.add(count)
+        assert counter.total == 0
+
 
 class TestIOCounter:
     def test_reads_and_writes_tracked_separately(self):
@@ -55,6 +62,15 @@ class TestIOCounter:
             IOCounter().read(-1)
         with pytest.raises(ConfigurationError):
             IOCounter().write(-1)
+
+    @pytest.mark.parametrize("words", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, words):
+        counter = IOCounter()
+        with pytest.raises(ConfigurationError, match=repr(words)):
+            counter.read(words)
+        with pytest.raises(ConfigurationError, match=repr(words)):
+            counter.write(words)
+        assert counter.total == 0
 
 
 class TestMemoryBudget:
