@@ -6,8 +6,9 @@ at the classical systolic designs.  These benchmarks run the cycle-level
 simulations of an output-stationary matmul mesh, a linear matvec array and
 the Gentleman-Kung triangular QR array on streams of problem instances,
 checking numerical correctness and steady-state cell utilization -- and time
-the validating reference engine against the vectorized wavefront engine,
-writing the machine-readable ``BENCH_systolic.json`` artifact (the perf
+the validating reference engine against the fast engine (closed-form vector
+accumulations for the mesh and the linear array, the banded anti-diagonal
+wavefront for QR), writing the machine-readable ``BENCH_systolic.json`` artifact (the perf
 baseline the CI perf-smoke job asserts against) into ``REPRO_BENCH_DIR``, or
 a temp dir when that is unset.
 """
@@ -77,8 +78,7 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
 
     The fast engines must be bitwise identical (outputs, cycle counts,
     active-cell counts) and not slower at order >= 16; the measured speedups
-    are recorded in the artifact (the tentpole target is >= 20x for the
-    order-32 matmul mesh).
+    are recorded in the artifact.
     """
     rng = np.random.default_rng(1986)
     rows: dict[str, list[dict]] = {"matmul": [], "matvec": [], "qr": []}
@@ -225,10 +225,11 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
 
     # Speedup floors (the CI perf-smoke job re-asserts these from the
     # artifact).  The floors are conservative fractions of the typical
-    # factors -- matmul-32 usually lands 30-70x, QR-64 10-15x with the
-    # banded anti-diagonal engine, matvec-256 5-13x -- so a miss means a
-    # real regression, not runner jitter.  Fast-only rows (null reference)
-    # have no speedup to assert.
+    # factors -- matmul-32 lands in the high hundreds now that the mesh is
+    # n vector multiply-adds, matvec-256 well above 100x for the same
+    # reason, QR-64 10-15x with the banded anti-diagonal engine -- so a
+    # miss means a real regression, not runner jitter.  Fast-only rows
+    # (null reference) have no speedup to assert.
     timed = [
         row
         for row in rows["matmul"] + rows["matvec"] + rows["qr"]
@@ -238,9 +239,9 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
         if row.get("order", row.get("length", 0)) >= 16:
             assert row["fast_seconds"] <= row["reference_seconds"], row
     order32 = next(row for row in rows["matmul"] if row["order"] == 32)
-    assert order32["speedup"] >= 10.0, order32
+    assert order32["speedup"] >= 100.0, order32
     qr64 = next(row for row in rows["qr"] if row["order"] == 64)
     assert qr64["speedup"] >= 4.0, qr64
     for row in rows["matvec"]:
         if row["length"] >= 256:
-            assert row["speedup"] >= 2.0, row
+            assert row["speedup"] >= 20.0, row

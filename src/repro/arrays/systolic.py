@@ -21,9 +21,12 @@ several problem instances are streamed back to back.
 Each simulator runs on one of two engines (see
 :mod:`repro.arrays.wavefront`): ``engine="reference"`` walks every cell with
 the scalar Python loops below -- the validating specification -- while
-``engine="fast"`` (the default) replays the identical dataflow with
-whole-array numpy updates per cycle, producing bitwise-identical outputs,
-cycle counts and active-cell counts at a fraction of the interpreter cost.
+``engine="fast"`` (the default) computes what the cells compute: ``n``
+whole-array multiply-adds in the order each cell accumulates its terms, with
+the cycle and active-cell counts in closed form.  Outputs and counts are
+bitwise identical to the reference at a fraction of the interpreter cost.
+The reference engines track register occupancy with explicit flags, so NaN
+and infinite operands are ordinary data that propagate the way numpy's do.
 """
 
 from __future__ import annotations
@@ -134,31 +137,43 @@ class OutputStationaryMatmulArray:
         total_cycles = batches * n + 2 * (n - 1)
         accumulators = np.zeros((n, n))
         accumulated_terms = np.zeros((n, n), dtype=int)
-        a_regs = np.full((n, n), np.nan)
-        b_regs = np.full((n, n), np.nan)
+        # Operand registers plus explicit occupancy flags: any float,
+        # NaN included, is a legal operand, so "empty" can't be a value.
+        a_regs = np.zeros((n, n))
+        b_regs = np.zeros((n, n))
+        a_full = np.zeros((n, n), dtype=bool)
+        b_full = np.zeros((n, n), dtype=bool)
         outputs = [np.zeros((n, n)) for _ in range(batches)]
         active_cell_cycles = 0
 
-        def a_source(row: int, cycle: int) -> float:
+        def a_source(row: int, cycle: int) -> tuple[float, bool]:
             index = cycle - row
             if 0 <= index < batches * n:
-                return a_list[index // n][row, index % n]
-            return float("nan")
+                return a_list[index // n][row, index % n], True
+            return 0.0, False
 
-        def b_source(col: int, cycle: int) -> float:
+        def b_source(col: int, cycle: int) -> tuple[float, bool]:
             index = cycle - col
             if 0 <= index < batches * n:
-                return b_list[index // n][index % n, col]
-            return float("nan")
+                return b_list[index // n][index % n, col], True
+            return 0.0, False
 
         for cycle in range(total_cycles):
-            new_a = np.full((n, n), np.nan)
-            new_b = np.full((n, n), np.nan)
+            new_a = np.zeros((n, n))
+            new_b = np.zeros((n, n))
+            new_a_full = np.zeros((n, n), dtype=bool)
+            new_b_full = np.zeros((n, n), dtype=bool)
             for i in range(n):
                 for j in range(n):
-                    a_in = a_source(i, cycle) if j == 0 else a_regs[i, j - 1]
-                    b_in = b_source(j, cycle) if i == 0 else b_regs[i - 1, j]
-                    if not (np.isnan(a_in) or np.isnan(b_in)):
+                    if j == 0:
+                        a_in, a_ok = a_source(i, cycle)
+                    else:
+                        a_in, a_ok = a_regs[i, j - 1], a_full[i, j - 1]
+                    if i == 0:
+                        b_in, b_ok = b_source(j, cycle)
+                    else:
+                        b_in, b_ok = b_regs[i - 1, j], b_full[i - 1, j]
+                    if a_ok and b_ok:
                         accumulators[i, j] += a_in * b_in
                         accumulated_terms[i, j] += 1
                         active_cell_cycles += 1
@@ -172,9 +187,10 @@ class OutputStationaryMatmulArray:
                             outputs[batch][i, j] = accumulators[i, j]
                             accumulators[i, j] = 0.0
                             accumulated_terms[i, j] = 0
-                    new_a[i, j] = a_in
-                    new_b[i, j] = b_in
+                    new_a[i, j], new_a_full[i, j] = a_in, a_ok
+                    new_b[i, j], new_b_full[i, j] = b_in, b_ok
             a_regs, b_regs = new_a, new_b
+            a_full, b_full = new_a_full, new_b_full
 
         return outputs, total_cycles, active_cell_cycles
 
@@ -254,31 +270,36 @@ class LinearMatvecArray:
 
         total_cycles = batches * n + n
         outputs = [np.zeros(n) for _ in range(batches)]
-        partial_regs = np.full(n, np.nan)   # value leaving cell j at previous cycle
+        # Value leaving cell j at the previous cycle, and whether one left:
+        # a NaN partial sum is data, not an empty register.
+        partial_regs = np.zeros(n)
+        partial_full = np.zeros(n, dtype=bool)
         active_cell_cycles = 0
 
         def row_index(cycle: int, cell: int) -> int:
             return cycle - cell
 
         for cycle in range(total_cycles):
-            new_partial = np.full(n, np.nan)
+            new_partial = np.zeros(n)
+            new_full = np.zeros(n, dtype=bool)
             for j in range(n):
                 global_row = row_index(cycle, j)
                 if not 0 <= global_row < batches * n:
                     continue
                 batch, i = divmod(global_row, n)
-                incoming = 0.0 if j == 0 else partial_regs[j - 1]
-                if np.isnan(incoming):
+                if j > 0 and not partial_full[j - 1]:
                     raise SimulationError(
                         "partial sum missing where the dataflow expects one"
                     )
+                incoming = 0.0 if j == 0 else partial_regs[j - 1]
                 x_value = x_list[batch][j]
                 updated = incoming + a_list[batch][i, j] * x_value
                 active_cell_cycles += 1
                 if j == n - 1:
                     outputs[batch][i] = updated
                 new_partial[j] = updated
-            partial_regs = new_partial
+                new_full[j] = True
+            partial_regs, partial_full = new_partial, new_full
 
         return outputs, total_cycles, active_cell_cycles
 

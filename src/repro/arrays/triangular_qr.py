@@ -26,7 +26,9 @@ schedule's cycle count ``m + 2n - 1`` for an ``m x n`` input.
 Like the simulators in :mod:`repro.arrays.systolic`, the array runs on one
 of two engines: ``engine="reference"`` applies every rotation cell by cell
 in Python (the validating specification), ``engine="fast"`` (the default)
-applies each rotation to the whole remaining row in two numpy expressions
+generates every rotation of one anti-diagonal wavefront step at once and
+applies them as two unmasked whole-band numpy expressions, restoring the
+strictly-lower zeros with one final ``triu``
 (:func:`repro.arrays.wavefront.qr_wavefront`), bitwise identical.
 """
 

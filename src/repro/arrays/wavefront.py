@@ -1,4 +1,4 @@
-"""Vectorized wavefront engines for the cycle-level systolic simulators.
+"""Fast engines for the cycle-level systolic simulators.
 
 The reference simulators in :mod:`repro.arrays.systolic` and
 :mod:`repro.arrays.triangular_qr` walk every cell with Python loops --
@@ -7,20 +7,21 @@ O(cycles x cells) interpreter operations -- which is the right shape for a
 module provides the trusted fast engines behind the shared
 ``engine="reference" | "fast"`` selector, mirroring the pebble game's
 trusted-fast design (``repro.pebble.game``): the scalar engines remain the
-specification, and the fast engines replay the identical dataflow with
-whole-array numpy updates per simulated cycle --
+specification, and the fast engines compute the arithmetic each cell
+performs, in the order the cell performs it --
 
-* register propagation as array slicing (the skewed operand streams shift
-  one cell per cycle),
-* source injection gathered from the closed-form skew schedule
-  (``cycle = i + j + k`` for the output-stationary mesh),
-* activity accounting as nan-masked reductions.
+* the output-stationary mesh and the linear matvec array in closed form:
+  every cell runs the same k-ordered (j-ordered) multiply-add chain, so the
+  whole array is ``n`` vector multiply-adds over the stacked instances, and
+  the cycle and active-cell counts follow from the skew schedule;
+* the triangular QR array as a banded anti-diagonal wavefront, because its
+  boundary cells generate data-dependent rotations that the next step needs.
 
-Every elementary floating-point operation is performed in the same order as
-in the reference engine, so outputs are *bitwise* identical -- not merely
+Outputs are *bitwise* identical to the reference engines -- not merely
 close -- and cycle counts and active-cell counts match exactly.  The
 equivalence suite (``tests/arrays/test_wavefront_equivalence.py``) asserts
-this over random orders, batch counts and the degenerate one-cell arrays.
+this over random orders, batch counts, the degenerate one-cell arrays and
+NaN/inf operands.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.obs import spans as obs_spans
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 #: The recognised simulation engines, in trust order: ``reference`` is the
-#: scalar per-cell specification, ``fast`` the vectorized wavefront replay.
+#: scalar per-cell specification, ``fast`` the vectorized closed form.
 ENGINES = ("reference", "fast")
 
 
@@ -85,11 +86,15 @@ def max_abs_deviation(produced: np.ndarray, expected: np.ndarray) -> float:
 
     ``max(0.0, nan)`` is 0.0 in Python, so a NaN in a corrupted output would
     otherwise masquerade as a perfect match -- exactly the failure mode an
-    error report must not hide.
+    error report must not hide.  Exactly equal entries deviate by 0.0, so an
+    infinity that matches the expected infinity is a match, not the NaN of
+    ``inf - inf``.
     """
     if not expected.size:
         return 0.0
-    deviation = float(np.max(np.abs(produced - expected)))
+    with np.errstate(invalid="ignore"):
+        difference = np.abs(produced - expected)
+    deviation = float(np.max(np.where(produced == expected, 0.0, difference)))
     return math.inf if math.isnan(deviation) else deviation
 
 
@@ -134,78 +139,26 @@ def batched_verification_report(
 def matmul_wavefront(
     a_stack: np.ndarray, b_stack: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Vectorized replay of the output-stationary mesh dataflow.
+    """Closed-form output-stationary mesh: one vector multiply-add per ``k``.
 
     ``a_stack`` and ``b_stack`` are the problem instances stacked to shape
     ``(batches, n, n)``.  Returns ``(outputs, cycles, active_cell_cycles)``
     with ``outputs`` of shape ``(batches, n, n)``.
 
-    Per cycle the whole mesh advances at once: the operand registers shift
-    one cell right/down (slice assignment), the boundary cells gather their
-    operands from the skewed streams (``A[i, k]`` enters row ``i`` at cycle
-    ``i + k``), and every cell holding two non-nan operands accumulates --
-    the same multiply-add, in the same ``k`` order, as the reference engine.
+    Cell ``(i, j)`` starts each instance at ``0.0`` and performs
+    ``acc + A[i, k] * B[k, j]`` for ``k = 0 .. n-1`` in that order (the
+    operands meet there at cycle ``batch * n + i + j + k``), so the whole
+    mesh's work over every instance is ``n`` whole-stack multiply-adds in
+    the same ``k`` order.  The last instance's last operand pair reaches the
+    far corner ``(n-1, n-1)`` at cycle ``batches * n + 2(n - 1) - 1``, and
+    every cell is busy exactly ``n`` cycles per instance.
     """
     batches, n, _ = a_stack.shape
-    total_cycles = batches * n + 2 * (n - 1)
-    stream_len = batches * n
-    # a_stream[i, idx] is the value entering row i at cycle idx + i;
-    # b_stream[idx, j] is the value entering column j at cycle idx + j.
-    a_stream = np.ascontiguousarray(a_stack.transpose(1, 0, 2)).reshape(n, stream_len)
-    b_stream = b_stack.reshape(stream_len, n)
-
-    lanes = np.arange(n)
-    accumulators = np.zeros((n, n))
-    accumulated_terms = np.zeros((n, n), dtype=np.int64)
-    a_regs = np.full((n, n), np.nan)
-    b_regs = np.full((n, n), np.nan)
     outputs = np.zeros((batches, n, n))
-    active_cell_cycles = 0
-
-    # One aggregate phase sample over the whole cycle loop: an order-256
-    # mesh runs ~10^3 cycles and must not emit a span per cycle.
-    with obs_spans.phase("matmul_wavefront.cycles"):
-        for cycle in range(total_cycles):
-            index = cycle - lanes
-            valid = (index >= 0) & (index < stream_len)
-            safe = np.where(valid, index, 0)
-            a_col = np.where(valid, a_stream[lanes, safe], np.nan)
-            b_row = np.where(valid, b_stream[safe, lanes], np.nan)
-
-            new_a = np.empty((n, n))
-            new_a[:, 0] = a_col
-            new_a[:, 1:] = a_regs[:, :-1]
-            new_b = np.empty((n, n))
-            new_b[0, :] = b_row
-            new_b[1:, :] = b_regs[:-1, :]
-
-            active = ~(np.isnan(new_a) | np.isnan(new_b))
-            # acc + a*b is evaluated exactly where the reference performs its
-            # scalar multiply-accumulate; inactive cells keep their bits.
-            accumulators = np.where(
-                active, accumulators + new_a * new_b, accumulators
-            )
-            accumulated_terms += active
-            active_cell_cycles += int(np.count_nonzero(active))
-
-            done = active & (accumulated_terms == n)
-            if done.any():
-                row_idx, col_idx = np.nonzero(done)
-                batch_idx = (cycle - row_idx - col_idx) // n
-                if (batch_idx < 0).any() or (batch_idx >= batches).any():
-                    raise SimulationError(
-                        "systolic dataflow produced a result outside "
-                        "any problem instance"
-                    )
-                outputs[batch_idx, row_idx, col_idx] = accumulators[
-                    row_idx, col_idx
-                ]
-                accumulators[row_idx, col_idx] = 0.0
-                accumulated_terms[row_idx, col_idx] = 0
-
-            a_regs, b_regs = new_a, new_b
-
-    return outputs, total_cycles, active_cell_cycles
+    with obs_spans.phase("matmul_wavefront.accumulate"):
+        for k in range(n):
+            outputs += a_stack[:, :, k, None] * b_stack[:, None, k, :]
+    return outputs, batches * n + 2 * (n - 1), batches * n**3
 
 
 # ---------------------------------------------------------------------------
@@ -216,49 +169,22 @@ def matmul_wavefront(
 def matvec_wavefront(
     a_stack: np.ndarray, x_stack: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Vectorized replay of the linear matvec array dataflow.
+    """Closed-form linear matvec array: one vector multiply-add per cell.
 
     ``a_stack`` has shape ``(batches, n, n)``, ``x_stack`` ``(batches, n)``.
     Returns ``(outputs, cycles, active_cell_cycles)`` with ``outputs`` of
-    shape ``(batches, n)``.  Per cycle the partial sums shift one cell right
-    and every active cell adds its ``A[i, j] * x[j]`` term, gathered from the
-    skew schedule ``global_row = cycle - j``.
+    shape ``(batches, n)``.  The partial sum for ``y[i]`` enters cell 0 as
+    ``0.0`` and cell ``j`` adds ``A[i, j] * x[j]``, so the array's work is
+    ``n`` whole-stack multiply-adds in cell order ``j``.  The last row leaves
+    the last cell at cycle ``batches * n + n - 1``; every cell is busy once
+    per row.
     """
     batches, n, _ = a_stack.shape
-    total_cycles = batches * n + n
-    stream_len = batches * n
-    a_stream = a_stack.reshape(stream_len, n)
-
-    cells = np.arange(n)
-    partial_regs = np.full(n, np.nan)
     outputs = np.zeros((batches, n))
-    active_cell_cycles = 0
-
-    with obs_spans.phase("matvec_wavefront.cycles"):
-        for cycle in range(total_cycles):
-            global_row = cycle - cells
-            active = (global_row >= 0) & (global_row < stream_len)
-            safe = np.where(active, global_row, 0)
-
-            incoming = np.empty(n)
-            incoming[0] = 0.0
-            incoming[1:] = partial_regs[:-1]
-            if bool(np.any(active & np.isnan(incoming))):
-                raise SimulationError(
-                    "partial sum missing where the dataflow expects one"
-                )
-
-            a_values = a_stream[safe, cells]
-            x_values = x_stack[safe // n, cells]
-            updated = incoming + a_values * x_values
-            active_cell_cycles += int(np.count_nonzero(active))
-
-            if active[n - 1]:
-                batch, i = divmod(cycle - (n - 1), n)
-                outputs[batch, i] = updated[n - 1]
-            partial_regs = np.where(active, updated, np.nan)
-
-    return outputs, total_cycles, active_cell_cycles
+    with obs_spans.phase("matvec_wavefront.accumulate"):
+        for j in range(n):
+            outputs += a_stack[:, :, j] * x_stack[:, j, None]
+    return outputs, batches * n + n, batches * n**2
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +209,23 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
       in-flight row block;
     * every Givens rotation of the step is generated by **one** array-input
       :func:`~repro.arrays.triangular_qr.givens_rotation` call;
-    * the internal-cell sweeps apply as two banded row expressions over
-      ``r[lo:hi]`` and the matching (reversed) block of in-flight rows, with
-      a precomputed strict-upper-triangular mask keeping each row's write
-      confined to its ``j > i`` tail.
+    * the internal-cell sweeps apply in place as two banded row expressions
+      over ``r[lo:hi, lo+1:]`` and the matching (reversed) block of
+      in-flight rows, with no mask: band row ``i > lo`` also rotates its
+      columns ``lo+1 .. i``, which the reference never touches.
 
     Every elementwise operation evaluates the exact expression the reference
     engine evaluates for that cell, and the dependency order (``(k, i)``
     after ``(k-1, i)`` and ``(k, i-1)``) is preserved by the step ordering,
-    so for finite inputs the result is bitwise identical.  Cells the
-    reference never writes (the strictly-lower zeros of ``r``; components
-    behind a row's boundary interaction) are never written here either, so
-    garbage can't leak in through masked-out lanes.  A NaN/inf input row
+    so for finite inputs the result is bitwise identical.  The extra lanes
+    the unmasked band writes are never read back into a real one: the
+    columns of a Givens update are independent, and array row ``i'`` only
+    reads columns ``>= i'`` of ``r`` and of the in-flight rows, which row
+    ``i < i'`` had written as real lanes.  The extra column ``i`` of row
+    ``i`` is the boundary expression itself and is overwritten with it, and
+    one final ``np.triu`` restores the strictly-lower zeros of ``r``.  The
+    rotations are orthogonal, so the extra lanes stay bounded by the input's
+    column norms and cannot overflow on finite input.  A NaN/inf input row
     smears the same NaN/inf wake across both engines, but only up to NaN
     sign/payload: IEEE 754 leaves NaN propagation through two-NaN operands
     unspecified, and CPython's scalar ``+`` keeps the second operand's NaN
@@ -314,7 +245,6 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
     work = np.array(a, dtype=float)  # the in-flight (partially rotated) rows
     work_flat = work.reshape(-1)
     diagonal = r.reshape(-1)[:: n + 1]  # writable view of r's diagonal
-    tail_mask = np.triu(np.ones((n, n), dtype=bool), k=1)
 
     # Per-step phases aggregate (total seconds + call count per name), so an
     # order-128 QR's ~380 steps cost ~380 clock-read pairs and flush as two
@@ -332,22 +262,17 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
         c, s = givens_rotation(boundary, incoming)
         with obs_spans.phase("qr_wavefront.apply"):
             new_boundary = c * boundary + s * incoming
-            if n > 1:
-                # Band rows ordered by i ascending; the matching in-flight
-                # rows k = step - i come out of a reversed slice of the block.
-                r_band = r[lo:hi]
-                v_band = work[step - hi + 1 : step - lo + 1][::-1]
-                mask = tail_mask[lo:hi]
-                new_r = c[:, None] * r_band + s[:, None] * v_band
-                new_v = -s[:, None] * r_band + c[:, None] * v_band
-                r[lo:hi] = np.where(mask, new_r, r_band)
-                work[step - hi + 1 : step - lo + 1] = np.where(
-                    mask, new_v, v_band
-                )[::-1]
+            # Band rows ordered by i ascending; the matching in-flight rows
+            # k = step - i come out of a reversed slice of the block.
+            r_band = r[lo:hi, lo + 1 :]
+            v_band = work[step - hi + 1 : step - lo + 1, lo + 1 :][::-1]
+            new_r = c[:, None] * r_band + s[:, None] * v_band
+            v_band[...] = -s[:, None] * r_band + c[:, None] * v_band
+            r_band[...] = new_r
             diagonal[lo:hi] = new_boundary
 
     # One boundary + (n - i - 1) internal interactions per (k, i) pair --
     # every pair occurs exactly once, so the totals close over the schedule.
     active_cell_steps = m * n * (n + 1) // 2
     rotations = m * n
-    return r, active_cell_steps, rotations
+    return np.triu(r), active_cell_steps, rotations

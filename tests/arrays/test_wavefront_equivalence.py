@@ -284,3 +284,191 @@ class TestReportHelpers:
         assert report.ok
         assert report.max_abs_error == 0.0
         assert report.mismatched_batches == ()
+
+
+def _assert_same_nonfinite_wake(fast: list[np.ndarray], reference: list[np.ndarray]):
+    """Identical NaN positions and bitwise-equal values everywhere else.
+
+    NaN sign/payload bits are left out for the reason
+    ``test_nonfinite_rows_surface_as_inf_error`` gives.
+    """
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        got_nan = np.isnan(got)
+        assert np.array_equal(got_nan, np.isnan(want))
+        assert got[~got_nan].tobytes() == want[~got_nan].tobytes()
+
+
+class TestNonfiniteSystolicData:
+    """NaN and +-inf operands are data: both engines carry them like numpy.
+
+    The reference engines once used NaN as their empty-register sentinel,
+    so a NaN operand was silently skipped (the mesh) or reported as a
+    dataflow fault (the matvec array).
+    """
+
+    def test_nan_operand_reproduction(self, rng):
+        """Order-3 mesh, two batches, ``A0[0, 1] = NaN``."""
+        n = 3
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+            for _ in range(2)
+        ]
+        problems[0][0][0, 1] = np.nan
+        alone = OutputStationaryMatmulArray(n, engine="reference").run(problems[1:])
+        for engine in ENGINES:
+            result = OutputStationaryMatmulArray(n, engine=engine).run(problems)
+            assert np.all(np.isnan(result.outputs[0][0]))
+            assert np.all(np.isfinite(result.outputs[0][1:]))
+            assert result.active_cell_cycles == 2 * n**3 == 54
+            assert result.outputs[1].tobytes() == alone.outputs[0].tobytes()
+            assert np.allclose(result.outputs[1], problems[1][0] @ problems[1][1])
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_mesh_nonfinite_operands(self, poison, rng):
+        n, batches = 5, 3
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+            for _ in range(batches)
+        ]
+        problems[0][0][2, 3] = poison
+        with np.errstate(invalid="ignore"):
+            reference = OutputStationaryMatmulArray(n, engine="reference").run(problems)
+            fast = OutputStationaryMatmulArray(n, engine="fast").run(problems)
+            expected = [a @ b for a, b in problems]
+            reports = [
+                OutputStationaryMatmulArray(n, engine=engine).verify(problems)
+                for engine in ENGINES
+            ]
+        _assert_same_nonfinite_wake(fast.outputs, reference.outputs)
+        assert fast.active_cell_cycles == reference.active_cell_cycles == batches * n**3
+        assert np.array_equal(fast.outputs[0][2], expected[0][2], equal_nan=True)
+        for got, want in zip(fast.outputs[1:], expected[1:]):
+            assert np.allclose(got, want)
+        self._assert_report(reports, poison)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_matvec_nonfinite_operands(self, poison, rng):
+        n, batches = 6, 3
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal(n))
+            for _ in range(batches)
+        ]
+        problems[0][0][4, 1] = poison
+        with np.errstate(invalid="ignore"):
+            reference = LinearMatvecArray(n, engine="reference").run(problems)
+            fast = LinearMatvecArray(n, engine="fast").run(problems)
+            expected = [a @ x for a, x in problems]
+            reports = [
+                LinearMatvecArray(n, engine=engine).verify(problems)
+                for engine in ENGINES
+            ]
+        _assert_same_nonfinite_wake(fast.outputs, reference.outputs)
+        assert fast.active_cell_cycles == reference.active_cell_cycles == batches * n**2
+        assert np.array_equal(fast.outputs[0][4], expected[0][4], equal_nan=True)
+        for got, want in zip(fast.outputs[1:], expected[1:]):
+            assert np.allclose(got, want)
+        self._assert_report(reports, poison)
+
+    @staticmethod
+    def _assert_report(reports, poison):
+        """A NaN output fails loudly; an infinity that numpy also gets matches.
+
+        numpy's own product carries the poisoned row to the same signed
+        infinity, so the run agrees with its specification exactly and the
+        report must say so rather than call ``inf - inf`` an infinite error.
+        """
+        for report in reports:
+            if np.isnan(poison):
+                assert not report.ok
+                assert report.max_abs_error == np.inf
+                assert report.mismatched_batches == (0,)
+            else:
+                assert report.ok
+                assert report.max_abs_error < 1e-9
+
+
+class TestClosedFormCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("batches", [1, 2, 4])
+    def test_mesh_counts(self, n, batches, rng):
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+            for _ in range(batches)
+        ]
+        for engine in ENGINES:
+            result = OutputStationaryMatmulArray(n, engine=engine).run(problems)
+            assert result.cycles == batches * n + 2 * (n - 1)
+            assert result.active_cell_cycles == batches * n**3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("batches", [1, 2, 4])
+    def test_matvec_counts(self, n, batches, rng):
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(batches)
+        ]
+        for engine in ENGINES:
+            result = LinearMatvecArray(n, engine=engine).run(problems)
+            assert result.cycles == batches * n + n
+            assert result.active_cell_cycles == batches * n**2
+
+    def test_order_24_mesh_spot_check(self, rng):
+        n = 24
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+            for _ in range(2)
+        ]
+        reference = OutputStationaryMatmulArray(n, engine="reference").run(problems)
+        fast = OutputStationaryMatmulArray(n, engine="fast").run(problems)
+        assert fast.cycles == reference.cycles
+        assert fast.active_cell_cycles == reference.active_cell_cycles
+        assert _bitwise_equal(fast.outputs, reference.outputs)
+
+    def test_length_64_matvec_spot_check(self, rng):
+        n = 64
+        problems = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(3)]
+        reference = LinearMatvecArray(n, engine="reference").run(problems)
+        fast = LinearMatvecArray(n, engine="fast").run(problems)
+        assert fast.cycles == reference.cycles
+        assert fast.active_cell_cycles == reference.active_cell_cycles
+        assert _bitwise_equal(fast.outputs, reference.outputs)
+
+
+class TestQRStrictLowerTriangle:
+    """The mask-free band writes below the diagonal; the result must not show it."""
+
+    @staticmethod
+    def _assert_positive_zero_below_diagonal(a: np.ndarray, n: int):
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = [
+                GentlemanKungTriangularArray(n, engine=engine).run(a) for engine in ENGINES
+            ]
+        for result in results:
+            lower = result.r_factor[np.tril_indices(n, -1)]
+            assert np.all(lower == 0.0)
+            assert not np.any(np.signbit(lower))
+
+    def test_tall_input(self, rng):
+        self._assert_positive_zero_below_diagonal(rng.standard_normal((30, 7)), 7)
+
+    def test_one_row_input(self, rng):
+        self._assert_positive_zero_below_diagonal(rng.standard_normal((1, 6)), 6)
+
+    def test_all_zero_columns(self, rng):
+        a = rng.standard_normal((12, 6))
+        a[:, [0, 3]] = 0.0
+        self._assert_positive_zero_below_diagonal(a, 6)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input(self, poison, rng):
+        a = rng.standard_normal((9, 6))
+        a[3, 2] = poison
+        self._assert_positive_zero_below_diagonal(a, 6)
+
+
+def test_matching_infinities_deviate_by_zero():
+    from repro.arrays.wavefront import max_abs_deviation
+
+    got = np.array([np.inf, -np.inf, 1.0])
+    assert max_abs_deviation(got, got.copy()) == 0.0
+    assert max_abs_deviation(got, np.array([-np.inf, -np.inf, 1.0])) == np.inf
