@@ -8,7 +8,9 @@ than absolute numbers.
 
 from __future__ import annotations
 
+import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +42,22 @@ def emit(title: str, body: str) -> None:
     """Print a labelled block so `pytest -s` shows the regenerated artifact."""
     print(f"\n===== {title} =====")
     print(body)
+
+
+#: Timing repetitions, applied identically to both sides of a comparison.
+#: A single run per side is vulnerable to one GC pause or scheduler
+#: preemption on a shared CI runner; an *asymmetric* policy (one reference
+#: run vs best-of-3 fast runs) systematically biases the reported speedup
+#: upward, because only one side gets to discard its unlucky runs.
+TIMING_REPEATS = 3
+
+
+def best_of(fn, *args, repeats: int = TIMING_REPEATS, **kwargs):
+    """``fn(*args, **kwargs)`` and its best-of-``repeats`` wall-clock time."""
+    best = math.inf
+    result = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - started)
+    return result, best

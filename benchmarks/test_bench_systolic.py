@@ -16,11 +16,9 @@ a temp dir when that is unset.
 from __future__ import annotations
 
 import json
-import math
-import time
 
 import numpy as np
-from conftest import emit
+from conftest import best_of, emit
 
 from repro.arrays.systolic import LinearMatvecArray, OutputStationaryMatmulArray
 from repro.arrays.triangular_qr import GentlemanKungTriangularArray
@@ -39,26 +37,6 @@ MATVEC_CASES = ((64, 4), (256, 2), (512, 2))
 #: whole-band updates per wavefront step); small orders are dominated by
 #: the per-step rotation batch, so the timed cases start at 32 columns.
 QR_CASES = ((32, 64), (64, 128), (128, 256))
-
-#: Timing repetitions, applied identically to both engines.  A single run
-#: per side is vulnerable to one GC pause or scheduler preemption on a
-#: shared CI runner; an *asymmetric* policy (one reference run vs
-#: best-of-3 fast runs, as earlier revisions did) systematically biases
-#: the reported speedup upward, because only the fast engine gets to
-#: discard its unlucky runs.
-TIMING_REPEATS = 3
-
-
-def _timed(fn, *args, repeats: int = TIMING_REPEATS):
-    """Best-of-``repeats`` wall-clock time, same policy for both engines."""
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - started)
-    return result, best
-
 
 def test_bench_systolic_arrays(benchmark):
     experiment = benchmark(run_systolic_experiment, order=8, batches=32)
@@ -89,10 +67,10 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
             (rng.standard_normal((order, order)), rng.standard_normal((order, order)))
             for _ in range(batches)
         ]
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             OutputStationaryMatmulArray(order, engine="reference").run, problems
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             OutputStationaryMatmulArray(order, engine="fast").run, problems
         )
         assert fast.cycles == reference.cycles
@@ -123,7 +101,7 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
             for _ in range(batches)
         ]
         mesh = OutputStationaryMatmulArray(order, engine="fast")
-        fast, fast_seconds = _timed(mesh.run, problems)
+        fast, fast_seconds = best_of(mesh.run, problems)
         report = mesh.verify(problems)
         assert report.ok, f"order-{order} fast mesh mismatch: {report.max_abs_error}"
         rows["matmul"].append(
@@ -146,10 +124,10 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
             (rng.standard_normal((length, length)), rng.standard_normal(length))
             for _ in range(batches)
         ]
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             LinearMatvecArray(length, engine="reference").run, problems
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             LinearMatvecArray(length, engine="fast").run, problems
         )
         assert fast.cycles == reference.cycles
@@ -176,10 +154,10 @@ def test_bench_wavefront_engine_vs_reference(bench_dir):
 
     for order, qr_rows in QR_CASES:
         a = rng.standard_normal((qr_rows, order))
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             GentlemanKungTriangularArray(order, engine="reference").run, a
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             GentlemanKungTriangularArray(order, engine="fast").run, a
         )
         assert fast.cycles == reference.cycles

@@ -12,6 +12,14 @@ in ``s``-wide chunks, accumulating into the resident output tile.  Per tile
 this costs ``Theta(N * M)`` arithmetic operations against ``Theta(N * sqrt(M))``
 word transfers, so the measured intensity is ``Theta(sqrt(M))`` and the
 rebalancing law is ``M_new = alpha**2 * M_old``.
+
+The kernel computes the product one ``k``-chunk at a time on the whole
+matrix and charges the tile decomposition's counts in closed form: for an
+``n_rows x n_inner`` by ``n_inner x n_cols`` product in ``row_tiles x
+col_tiles`` output tiles, ``2 * n_rows * n_cols * n_inner`` operations,
+``col_tiles * n_rows * n_inner + row_tiles * n_inner * n_cols`` words read
+and ``n_rows * n_cols`` written, with one phase record per tile.
+``analytic_cost`` evaluates the same closed form.
 """
 
 from __future__ import annotations
@@ -68,13 +76,14 @@ class BlockedMatrixMultiply(Kernel):
             side = tile_side_for_memory(memory_words)
             return side, side, side
         rows, cols = self.tile_shape
-        if rows * cols >= memory_words:
+        working_set = rows * cols + rows + cols
+        if working_set > memory_words:
             raise ConfigurationError(
-                f"a {rows} x {cols} output tile does not leave room for input "
-                f"panels in {memory_words} words of local memory"
+                f"a {rows} x {cols} output tile needs a working set of at least "
+                f"{working_set} words (the tile plus a one-wide chunk of each input "
+                f"panel), more than the {memory_words} words of local memory"
             )
-        chunk = max(1, (memory_words - rows * cols) // (rows + cols))
-        return rows, cols, chunk
+        return rows, cols, (memory_words - rows * cols) // (rows + cols)
 
     def default_problem(self, scale: int) -> dict[str, Any]:
         """Random square matrices of order ``scale`` (deterministic seed)."""
@@ -92,56 +101,66 @@ class BlockedMatrixMultiply(Kernel):
         self, memory_words: int, *, a: np.ndarray, b: np.ndarray
     ) -> ComputationCost:
         """Closed-form cost of the tile decomposition at this memory size."""
-        n = int(np.asarray(a).shape[0])
-        rows, cols, chunk = self._tile_geometry(memory_words)
-        tiles = math.ceil(n / rows) * math.ceil(n / cols)
-        chunks = math.ceil(n / chunk)
-        ops_per_tile = 2.0 * rows * cols * n
-        io_per_tile = (rows + cols) * chunk * chunks + rows * cols
-        return ComputationCost(ops_per_tile * tiles, io_per_tile * tiles)
+        a, b = _operands(a, b)
+        rows, cols, _ = self._tile_geometry(memory_words)
+        ops, read, written = _tiled_counts(*a.shape, b.shape[1], rows, cols)
+        return ComputationCost(ops, read + written)
 
     def _run(self, ctx: ExecutionContext, *, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ConfigurationError("matrix multiplication requires 2-D operands")
-        if a.shape[1] != b.shape[0]:
-            raise ConfigurationError(
-                f"incompatible shapes for multiplication: {a.shape} and {b.shape}"
-            )
+        a, b = _operands(a, b)
         n_rows, n_inner = a.shape
         n_cols = b.shape[1]
         rows, cols, chunk_width = self._tile_geometry(ctx.memory.capacity_words)
 
-        # External memory holds the operands and the result; only tiles are
-        # ever resident in the PE.
+        # External memory holds the operands and the result.  Every tile
+        # stages the same buffers and the first tile's are the largest, so
+        # one allocation of them checks the whole run against the capacity.
         c = np.zeros((n_rows, n_cols), dtype=float)
+        if c.size:
+            tile_rows, tile_cols = min(rows, n_rows), min(cols, n_cols)
+            width = min(chunk_width, n_inner)
+            with ctx.memory.buffer("c_tile", tile_rows * tile_cols), \
+                    ctx.memory.buffer("a_chunk", tile_rows * width), \
+                    ctx.memory.buffer("b_chunk", width * tile_cols):
+                for k0 in range(0, n_inner, chunk_width):
+                    c += a[:, k0:k0 + chunk_width] @ b[k0:k0 + chunk_width, :]
 
+        ops, read, written = _tiled_counts(n_rows, n_inner, n_cols, rows, cols)
+        ctx.ops.add(ops)
+        ctx.io.read(read)
+        ctx.io.write(written)
         for i0 in range(0, n_rows, rows):
             i1 = min(i0 + rows, n_rows)
             for j0 in range(0, n_cols, cols):
                 j1 = min(j0 + cols, n_cols)
-                tile_rows, tile_cols = i1 - i0, j1 - j0
-                tile_ops = 0.0
-                tile_io = 0.0
-                with ctx.memory.buffer("c_tile", tile_rows * tile_cols):
-                    c_tile = np.zeros((tile_rows, tile_cols))
-                    for k0 in range(0, n_inner, chunk_width):
-                        k1 = min(k0 + chunk_width, n_inner)
-                        chunk = k1 - k0
-                        with ctx.memory.buffer("a_chunk", tile_rows * chunk), \
-                                ctx.memory.buffer("b_chunk", chunk * tile_cols):
-                            a_chunk = a[i0:i1, k0:k1]
-                            b_chunk = b[k0:k1, j0:j1]
-                            ctx.io.read(tile_rows * chunk)
-                            ctx.io.read(chunk * tile_cols)
-                            tile_io += tile_rows * chunk + chunk * tile_cols
-                            c_tile += a_chunk @ b_chunk
-                            ops = 2.0 * tile_rows * tile_cols * chunk
-                            ctx.ops.add(ops)
-                            tile_ops += ops
-                    c[i0:i1, j0:j1] = c_tile
-                    ctx.io.write(tile_rows * tile_cols)
-                    tile_io += tile_rows * tile_cols
-                ctx.phases.record(f"tile[{i0}:{i1},{j0}:{j1}]", tile_ops, tile_io)
+                ops, read, written = _tiled_counts(i1 - i0, n_inner, j1 - j0, rows, cols)
+                ctx.phases.record(f"tile[{i0}:{i1},{j0}:{j1}]", ops, read + written)
         return c
+
+
+def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ConfigurationError("matrix multiplication requires 2-D operands")
+    if a.shape[1] != b.shape[0]:
+        raise ConfigurationError(
+            f"incompatible shapes for multiplication: {a.shape} and {b.shape}"
+        )
+    return a, b
+
+
+def _tiled_counts(
+    n_rows: int, n_inner: int, n_cols: int, rows: int, cols: int
+) -> tuple[float, float, float]:
+    """Operations, words read and words written with ``rows x cols`` output tiles.
+
+    Each output tile reads its row panel of ``A`` and column panel of ``B``
+    once and writes itself once.
+    """
+    row_tiles, col_tiles = -(-n_rows // rows), -(-n_cols // cols)
+    return (
+        2.0 * n_rows * n_cols * n_inner,
+        float(col_tiles * n_rows * n_inner + row_tiles * n_inner * n_cols),
+        float(n_rows * n_cols),
+    )

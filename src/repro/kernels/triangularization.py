@@ -10,7 +10,13 @@ transfers, so -- as for matrix multiplication -- the intensity is
 blocked LU factorization (Gaussian elimination) without pivoting: the tile
 side is ``Theta(sqrt(M))`` and every tile that participates in a panel
 factorization or trailing-matrix update is staged through the bounded local
-memory, with all operations and word transfers counted.
+memory, with all operations and word transfers counted.  Each step factors
+its ``w x w`` diagonal block column by column, solves both panels as whole
+strips and updates the trailing matrix in one product; its counts are
+charged in closed form.  With ``t`` trailing rows and ``nb = ceil(t / s)``
+tiles per trailing side, a step reads ``w**2 + 2*t*w + t**2 + 2*nb*t*w``
+words and writes ``w**2 + 2*t*w + t**2``; ``analytic_cost`` sums the same
+per-step counts.
 
 The test problems are diagonally dominant so that the absence of pivoting is
 numerically harmless; a pivoted variant would change constant factors only,
@@ -19,7 +25,6 @@ not the intensity's dependence on ``M``.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -77,24 +82,11 @@ class BlockedLUTriangularization(Kernel):
     def analytic_cost(self, memory_words: int, *, a: np.ndarray) -> ComputationCost:
         n = int(np.asarray(a).shape[0])
         s = tile_side_for_memory(memory_words)
-        steps = math.ceil(n / s)
-        compute_ops = 0.0
-        io_words = 0.0
-        for step in range(steps):
-            remaining = n - step * s
-            width = min(s, remaining)
-            trailing = max(0, remaining - width)
-            # diagonal block factorization
-            compute_ops += (2.0 / 3.0) * width**3
-            io_words += 2.0 * width * width
-            # panel solves (L21 and U12)
-            compute_ops += 2.0 * trailing * width * width
-            io_words += 4.0 * trailing * width + 2.0 * steps * width * width
-            # trailing update
-            compute_ops += 2.0 * trailing * trailing * width
-            io_words += 2.0 * trailing * trailing + 2.0 * trailing * width * math.ceil(
-                max(1, trailing) / max(1, s)
-            )
+        compute_ops = io_words = 0.0
+        for k0 in range(0, n, s):
+            ops, read, written = _step_counts(min(s, n - k0), max(0, n - k0 - s), s)
+            compute_ops += ops
+            io_words += read + written
         return ComputationCost(compute_ops, io_words)
 
     def _run(self, ctx: ExecutionContext, *, a: np.ndarray) -> np.ndarray:
@@ -106,15 +98,14 @@ class BlockedLUTriangularization(Kernel):
 
         for k0 in range(0, n, s):
             k1 = min(k0 + s, n)
-            w = k1 - k0
-            step_ops = 0.0
-            step_io = 0.0
+            w, t = k1 - k0, n - k1
+            # Panel blocks and trailing tiles are staged ``s`` rows or columns
+            # at a time; the first, largest one stands for them all.
+            tile = min(s, t)
 
             # 1. Factor the diagonal block in local memory.
             with ctx.memory.buffer("diag", w * w):
-                ctx.io.read(w * w)
-                step_io += w * w
-                diag = np.array(a[k0:k1, k0:k1], copy=True)
+                diag = a[k0:k1, k0:k1]
                 for k in range(w - 1):
                     pivot = diag[k, k]
                     if pivot == 0:
@@ -123,72 +114,49 @@ class BlockedLUTriangularization(Kernel):
                         )
                     diag[k + 1 :, k] /= pivot
                     diag[k + 1 :, k + 1 :] -= np.outer(diag[k + 1 :, k], diag[k, k + 1 :])
-                    ops = (w - k - 1) + 2.0 * (w - k - 1) ** 2
-                    ctx.ops.add(ops)
-                    step_ops += ops
-                a[k0:k1, k0:k1] = diag
-                ctx.io.write(w * w)
-                step_io += w * w
-
                 lower = np.tril(diag, -1) + np.eye(w)
                 upper = np.triu(diag)
 
-                # 2. Column panel: L21 = A21 @ inv(U11), one row block at a time.
-                for i0 in range(k1, n, s):
-                    i1 = min(i0 + s, n)
-                    rows = i1 - i0
-                    with ctx.memory.buffer("panel_block", rows * w):
-                        ctx.io.read(rows * w)
-                        step_io += rows * w
-                        block = np.array(a[i0:i1, k0:k1], copy=True)
-                        # Solve X @ U11 = block by back substitution on columns.
-                        for j in range(w):
-                            block[:, j] -= block[:, :j] @ upper[:j, j]
-                            block[:, j] /= upper[j, j]
-                            ops = 2.0 * rows * j + rows
-                            ctx.ops.add(ops)
-                            step_ops += ops
-                        a[i0:i1, k0:k1] = block
-                        ctx.io.write(rows * w)
-                        step_io += rows * w
-
-                # 3. Row panel: U12 = inv(L11) @ A12, one column block at a time.
-                for j0 in range(k1, n, s):
-                    j1 = min(j0 + s, n)
-                    cols = j1 - j0
-                    with ctx.memory.buffer("panel_block", w * cols):
-                        ctx.io.read(w * cols)
-                        step_io += w * cols
-                        block = np.array(a[k0:k1, j0:j1], copy=True)
-                        for i in range(w):
-                            block[i, :] -= lower[i, :i] @ block[:i, :]
-                            ops = 2.0 * cols * i
-                            ctx.ops.add(ops)
-                            step_ops += ops
-                        a[k0:k1, j0:j1] = block
-                        ctx.io.write(w * cols)
-                        step_io += w * cols
+                with ctx.memory.buffer("panel_block", tile * w):
+                    # 2. Column panel: L21 = A21 @ inv(U11), column by column.
+                    column = a[k1:, k0:k1]
+                    for j in range(w):
+                        column[:, j] -= column[:, :j] @ upper[:j, j]
+                        column[:, j] /= upper[j, j]
+                    # 3. Row panel: U12 = inv(L11) @ A12, row by row.
+                    row = a[k0:k1, k1:]
+                    for i in range(w):
+                        row[i, :] -= lower[i, :i] @ row[:i, :]
 
             # 4. Trailing-matrix update with matmul-style tiling.
-            for i0 in range(k1, n, s):
-                i1 = min(i0 + s, n)
-                rows = i1 - i0
-                for j0 in range(k1, n, s):
-                    j1 = min(j0 + s, n)
-                    cols = j1 - j0
-                    with ctx.memory.buffer("c_tile", rows * cols), \
-                            ctx.memory.buffer("l_tile", rows * w), \
-                            ctx.memory.buffer("u_tile", w * cols):
-                        ctx.io.read(rows * cols)
-                        ctx.io.read(rows * w)
-                        ctx.io.read(w * cols)
-                        step_io += rows * cols + rows * w + w * cols
-                        a[i0:i1, j0:j1] -= a[i0:i1, k0:k1] @ a[k0:k1, j0:j1]
-                        ops = 2.0 * rows * cols * w
-                        ctx.ops.add(ops)
-                        step_ops += ops
-                        ctx.io.write(rows * cols)
-                        step_io += rows * cols
+            with ctx.memory.buffer("c_tile", tile * tile), \
+                    ctx.memory.buffer("l_tile", tile * w), \
+                    ctx.memory.buffer("u_tile", w * tile):
+                a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
 
-            ctx.phases.record(f"panel[{k0}:{k1}]", step_ops, step_io)
+            ops, read, written = _step_counts(w, t, s)
+            ctx.ops.add(ops)
+            ctx.io.read(read)
+            ctx.io.write(written)
+            ctx.phases.record(f"panel[{k0}:{k1}]", ops, read + written)
         return a
+
+
+def _step_counts(w: int, t: int, s: int) -> tuple[float, float, float]:
+    """Operations, words read and words written by one panel step.
+
+    ``w`` is the panel width, ``t`` the order of the trailing matrix and
+    ``s`` the tile side.  Operations: ``m + 2*m**2`` per elimination column
+    of the diagonal block (``m = w-1 .. 1``), ``w**2`` per column-panel row,
+    ``w*(w-1)`` per row-panel column and ``2*w`` per trailing element.
+    Words: the diagonal block and each panel are read and written once;
+    each of the ``nb**2`` trailing tiles, ``nb = ceil(t / s)``, reads
+    itself and its slice of both panels and writes itself back.
+    """
+    nb = -(-t // s)
+    moved = w * w + 2 * t * w + t * t
+    return (
+        float((w - 1) * w * (4 * w + 1) // 6 + t * w * (2 * w - 1) + 2 * t * t * w),
+        float(moved + 2 * nb * t * w),
+        float(moved),
+    )

@@ -1,11 +1,15 @@
-"""Golden counts for the counted FFT and external-sort kernels.
+"""Golden counts for the counted FFT, external-sort, matmul and LU kernels.
 
 ``golden_counts.json`` holds, per ``(kernel, scale, M)`` case, the exact
 operation count, words read and written, every phase record and the peak
-residency that the per-butterfly / per-comparison implementation produced
-(plus a digest of the sorted output).  The closed-form counting in
-:mod:`repro.kernels.fft` and :mod:`repro.kernels.sorting` must reproduce
-them bit for bit.
+residency that the per-butterfly / per-comparison / per-tile implementation
+produced (plus a digest of the sorted output).  Matmul cases may instead
+give non-square operand shapes or an explicit ``tile_shape``; cases
+with ``resident_words`` run against a memory that already holds that many
+words and record the capacity error the kernel raised.  The closed-form
+counting in :mod:`repro.kernels.fft`, :mod:`repro.kernels.sorting`,
+:mod:`repro.kernels.matmul` and :mod:`repro.kernels.triangularization`
+must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,24 +23,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import exceptions
 from repro.kernels.base import ExecutionContext, outputs_match
 from repro.kernels.counters import OperationCounter
 from repro.kernels.fft import BlockedFFT, block_points_for_memory, decomposition_plan
+from repro.kernels.matmul import BlockedMatrixMultiply, tile_side_for_memory
 from repro.kernels.sorting import CountingHeap, ExternalMergeSort, merge_sort_counting
+from repro.kernels.triangularization import BlockedLUTriangularization, unblocked_lu
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_counts.json")).read_text())
-KERNELS = {"fft": BlockedFFT, "sorting": ExternalMergeSort}
+KERNELS = {
+    "fft": BlockedFFT,
+    "sorting": ExternalMergeSort,
+    "matmul": BlockedMatrixMultiply,
+    "triangularization": BlockedLUTriangularization,
+}
 
 
 def _case_id(case: dict) -> str:
-    return f"{case['kernel']}-s{case['scale']}-M{case['memory_words']}"
+    size = "x".join(map(str, case["shape"])) if "shape" in case else f"s{case['scale']}"
+    case_id = f"{case['kernel']}-{size}-M{case['memory_words']}"
+    if "tile_shape" in case:
+        case_id += "-tile{}x{}".format(*case["tile_shape"])
+    if "resident_words" in case:
+        case_id += f"-resident{case['resident_words']}"
+    return case_id
+
+
+def _kernel_and_problem(case: dict):
+    if "tile_shape" in case:
+        kernel = KERNELS[case["kernel"]](tile_shape=tuple(case["tile_shape"]))
+    else:
+        kernel = KERNELS[case["kernel"]]()
+    if "shape" not in case:
+        return kernel, kernel.default_problem(case["scale"])
+    rows, inner, cols = case["shape"]
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((rows, inner))
+    return kernel, {"a": a, "b": rng.standard_normal((inner, cols))}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=_case_id)
 def test_counts_match_golden(case):
-    kernel = KERNELS[case["kernel"]]()
-    problem = kernel.default_problem(case["scale"])
+    kernel, problem = _kernel_and_problem(case)
     ctx = ExecutionContext.with_capacity(case["memory_words"])
+    if "resident_words" in case:
+        ctx.memory.allocate("resident", case["resident_words"])
+    if "error" in case:
+        with pytest.raises(getattr(exceptions, case["error"]["type"])) as caught:
+            kernel._run(ctx, **problem)
+        assert str(caught.value) == case["error"]["message"]
+        assert ctx.memory.peak_words == case["peak_memory_words"]
+        return
     output = kernel._run(ctx, **problem)
 
     phases = [[p.name, p.cost.compute_ops, p.cost.io_words] for p in ctx.phases]
@@ -106,6 +144,58 @@ def test_whole_pass_fft_matches_butterfly_by_butterfly(scale, memory_words):
     reference = _butterfly_by_butterfly(x, memory_words)
     tolerance = 4 * np.finfo(float).eps * np.max(np.abs(reference))
     assert np.max(np.abs(output - reference)) <= tolerance
+
+
+def _tile_by_tile_matmul(a: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
+    """The blocked product one output tile and one k-chunk at a time."""
+    c = np.zeros((a.shape[0], b.shape[1]))
+    for i0 in range(0, a.shape[0], side):
+        for j0 in range(0, b.shape[1], side):
+            for k0 in range(0, a.shape[1], side):
+                c[i0:i0 + side, j0:j0 + side] += (
+                    a[i0:i0 + side, k0:k0 + side] @ b[k0:k0 + side, j0:j0 + side]
+                )
+    return c
+
+
+def _tile_by_tile_lu(a: np.ndarray, side: int) -> np.ndarray:
+    """The blocked LU with every panel block and trailing tile done alone."""
+    a = np.array(a, dtype=float)
+    n = len(a)
+    for k0 in range(0, n, side):
+        k1 = min(k0 + side, n)
+        a[k0:k1, k0:k1] = unblocked_lu(a[k0:k1, k0:k1])
+        lower = np.tril(a[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
+        upper = np.triu(a[k0:k1, k0:k1])
+        for i0 in range(k1, n, side):
+            block = a[i0:i0 + side, k0:k1]
+            for j in range(k1 - k0):
+                block[:, j] = (block[:, j] - block[:, :j] @ upper[:j, j]) / upper[j, j]
+            block = a[k0:k1, i0:i0 + side]
+            for i in range(k1 - k0):
+                block[i, :] -= lower[i, :i] @ block[:i, :]
+        for i0 in range(k1, n, side):
+            for j0 in range(k1, n, side):
+                a[i0:i0 + side, j0:j0 + side] -= (
+                    a[i0:i0 + side, k0:k1] @ a[k0:k1, j0:j0 + side]
+                )
+    return a
+
+
+@pytest.mark.parametrize("n, memory_words", [(5, 12), (13, 27), (24, 300), (48, 12), (64, 48)])
+def test_whole_matrix_kernels_match_tile_by_tile(n, memory_words):
+    """Whole-matrix products round differently only in the last ulps."""
+    side = tile_side_for_memory(memory_words)
+    eps = np.finfo(float).eps
+    a = BlockedMatrixMultiply().default_problem(n)
+    output = BlockedMatrixMultiply().execute(memory_words, **a).output
+    reference = _tile_by_tile_matmul(a["a"], a["b"], side)
+    assert np.max(np.abs(output - reference)) <= n * eps * np.max(np.abs(reference))
+
+    lu = BlockedLUTriangularization().default_problem(n)["a"]
+    output = BlockedLUTriangularization().execute(memory_words, a=lu).output
+    reference = _tile_by_tile_lu(lu, side)
+    assert np.max(np.abs(output - reference)) <= n * eps * np.max(np.abs(reference))
 
 
 class _CallCounter(OperationCounter):
