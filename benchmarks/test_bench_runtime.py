@@ -77,12 +77,15 @@ def test_bench_suite_warm_cache_replays_without_execution(tmp_path):
     emit(
         "Scenario suite result cache: cold vs warm",
         f"suite : {suite.name} ({cold.runtime['points']} points)\n"
-        f"cold  : {cold.elapsed_seconds * 1e3:8.1f} ms ({cache.stats.misses} misses)\n"
-        f"warm  : {warm.elapsed_seconds * 1e3:8.1f} ms ({cache.stats.hits} hits)\n"
+        f"cold  : {cold.elapsed_seconds * 1e3:8.1f} ms "
+        f"({cold.runtime['cache']['misses']} point misses)\n"
+        f"warm  : {warm.elapsed_seconds * 1e3:8.1f} ms "
+        f"({warm.runtime['cache']['hits']} point hits)\n"
         f"speedup: {cold.elapsed_seconds / max(warm.elapsed_seconds, 1e-9):.1f}x",
     )
 
-    assert cache.stats.hits == cache.stats.misses == cold.runtime["points"]
+    assert cold.runtime["cache"]["misses"] == cold.runtime["points"]
+    assert warm.runtime["cache"]["hits"] == warm.runtime["points"]
     for c, w in zip(cold.results, warm.results):
         assert w.sweep.intensities == c.sweep.intensities
     # The experiment tasks replay from the task cache too.

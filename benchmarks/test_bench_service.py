@@ -61,14 +61,13 @@ def test_bench_submit_latency_cold_vs_warm(live_service):
 
     cold_sweep = _timed_submit(client, "sweep", SWEEP_SPEC)
     warm_sweep = _timed_submit(client, "sweep", SWEEP_SPEC)
+    # The warm sweep replayed every point from the one cache.
+    cache_stats = service.executor.task_runner.cache.stats
+    assert cache_stats.hits == len(SWEEP_SPEC["memory_sizes"])
     cold_experiment = _timed_submit(client, "experiment", EXPERIMENT_SPEC)
     warm_experiment = _timed_submit(client, "experiment", EXPERIMENT_SPEC)
-
-    # The warm pass replayed every sweep point and experiment task.
-    assert service.executor.result_cache.stats.hits == len(
-        SWEEP_SPEC["memory_sizes"]
-    )
-    assert service.executor.task_runner.stats.cache_hits > 0
+    # ... and the warm experiment replayed its tasks from the same cache.
+    assert cache_stats.hits > len(SWEEP_SPEC["memory_sizes"])
 
     payload = {
         "sweep": {"cold_seconds": cold_sweep, "warm_seconds": warm_sweep},
@@ -103,7 +102,7 @@ def test_bench_dedup_factor_for_identical_jobs(live_service, bench_dir):
 
     deduped = service.scheduler.stats.deduped
     executed = service.executor.stats.jobs_executed
-    stores = service.executor.result_cache.stats.stores
+    stores = service.executor.task_runner.cache.stats.stores
     assert deduped == submissions - 1
     assert executed == 1
     assert stores == len(SWEEP_SPEC["memory_sizes"])

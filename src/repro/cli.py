@@ -57,7 +57,6 @@ from repro.kernels import (
 )
 from repro.runtime import (
     ExperimentScenario,
-    ResultCache,
     SweepRunner,
     TaskCache,
     TaskRunner,
@@ -310,10 +309,12 @@ def _default_cache_dir() -> Path:
     )
 
 
-def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> SweepRunner:
+def _runner_from_args(
+    args: argparse.Namespace, *, parallel_default: bool = True
+) -> SweepRunner:
     cache = None
     if not args.no_cache:
-        cache = ResultCache(args.cache_dir or _default_cache_dir())
+        cache = TaskCache(args.cache_dir or _default_cache_dir())
     parallel = parallel_default
     if args.serial:
         parallel = False
@@ -327,24 +328,9 @@ def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> Sw
     )
 
 
-def _task_runner_from_args(
-    args: argparse.Namespace, *, parallel_default: bool = True
-) -> TaskRunner:
-    """A :class:`TaskRunner` for the experiment subcommands.
-
-    The experiment-task cache lives under the ``tasks/`` subdirectory of the
-    shared cache root, mirroring :func:`repro.runtime.task_runner_for`.
-    """
-    cache = None
-    if not args.no_cache:
-        root = Path(args.cache_dir or _default_cache_dir())
-        cache = TaskCache(root / "tasks")
-    parallel = parallel_default
-    if args.serial:
-        parallel = False
-    elif args.jobs is not None:
-        parallel = args.jobs > 1
-    return TaskRunner(parallel=parallel, max_workers=args.jobs, cache=cache)
+def _task_runner_from_args(args: argparse.Namespace) -> TaskRunner:
+    """The :class:`TaskRunner` for the experiment subcommands."""
+    return _runner_from_args(args).task_runner
 
 
 def _print_task_cache(runner: TaskRunner) -> None:
@@ -549,7 +535,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return 0
     name = "quick" if args.quick else (args.name or "quick")
     suite = get_suite(name)
-    runner = _runner_from_args(args, parallel_default=True)
+    runner = _runner_from_args(args)
     result = run_suite(suite, runner)
 
     table = Table(
@@ -589,16 +575,15 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         f"in {result.elapsed_seconds:.2f}s ({mode}, {runner.max_workers} workers)"
     )
     if runner.cache is not None:
-        stats = runner.cache.stats
-        print(f"cache: {stats.hits} hits, {stats.misses} misses ({runner.cache.root})")
+        points, tasks = result.runtime["cache"], result.runtime["task_cache"]
+        print(
+            f"cache: {points['hits']} point hits, {points['misses']} misses; "
+            f"{tasks['hits']} task hits, {tasks['misses']} misses "
+            f"({runner.cache.root})"
+        )
         store = store_for(runner)
         if store is not None:
             print(f"recorded run {result.run_id} [{store.root}]")
-    if result.runtime.get("task_cache"):
-        task_stats = result.runtime["task_cache"]
-        print(
-            f"task cache: {task_stats['hits']} hits, {task_stats['misses']} misses"
-        )
     if args.json:
         print(f"wrote JSON to {result.write_json(args.json)}")
     if args.csv:
@@ -770,37 +755,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     root = Path(args.cache_dir or _default_cache_dir())
-    results = ResultCache(root)
-    tasks = TaskCache(root / "tasks")
+    cache = TaskCache(root)
     store = ResultStore(root / "store")
     if args.action == "clear":
-        removed = results.clear() + tasks.clear()
+        removed = cache.clear()
         if args.keep_store:
             print(f"removed {removed} cache entries from {root} (store kept)")
         else:
             runs = store.clear()
             print(f"removed {removed} cache entries and {runs} store runs from {root}")
         return 0
-    result_entries, task_entries = len(results), len(tasks)
-    result_bytes = results.disk_usage_bytes()
-    task_bytes = tasks.disk_usage_bytes()
+    entries, cache_bytes = len(cache), cache.disk_usage_bytes()
     store_runs, store_records = store.run_count(), len(store)
     store_bytes = store.disk_usage_bytes()
     print(f"cache root    : {root}")
-    print(
-        f"sweep points  : {result_entries} entries, {_format_bytes(result_bytes)}"
-    )
-    print(
-        f"task results  : {task_entries} entries, {_format_bytes(task_bytes)}"
-    )
+    print(f"task results  : {entries} entries, {_format_bytes(cache_bytes)}")
     print(
         f"result store  : {store_runs} runs, {store_records} records, "
         f"{_format_bytes(store_bytes)}"
     )
     print(
-        f"total         : {result_entries + task_entries} entries + "
-        f"{store_runs} runs, "
-        f"{_format_bytes(result_bytes + task_bytes + store_bytes)}"
+        f"total         : {entries} entries + {store_runs} runs, "
+        f"{_format_bytes(cache_bytes + store_bytes)}"
     )
     return 0
 

@@ -149,8 +149,10 @@ def measure_pebble_point(
     ``dag_kind`` selects the DAG family (``"matmul"`` with ``size`` the
     matrix order, or ``"fft"`` with ``size`` the point count); ``blocked``
     plays the matmul DAG in the paper's blocked schedule instead of a generic
-    topological order.  The DAG is rebuilt inside the worker, which costs far
-    less than playing the game and keeps the task parameters tiny.
+    topological order.  The DAG is rebuilt inside the worker, which keeps
+    the task parameters tiny but is not free: building and ordering the
+    DAG costs about as much as playing the game (8.6 ms against a 10.5 ms
+    game for fft-256 at S = 16 on a 2-CPU x86 host).
     """
     if dag_kind == "matmul":
         dag = matmul_dag(size)

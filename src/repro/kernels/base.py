@@ -65,9 +65,6 @@ class KernelExecution:
     cost: ComputationCost
     peak_memory_words: int
     phases: PhaseRecorder
-    #: True when the numbers were replayed from a result cache rather than
-    #: measured by running the kernel; such executions carry no ``output``.
-    from_cache: bool = False
 
     @property
     def intensity(self) -> float:

@@ -80,7 +80,7 @@ class BlockedLUTriangularization(Kernel):
         return unblocked_lu(np.asarray(a, dtype=float))
 
     def analytic_cost(self, memory_words: int, *, a: np.ndarray) -> ComputationCost:
-        n = int(np.asarray(a).shape[0])
+        n = _square_order(np.asarray(a))
         s = tile_side_for_memory(memory_words)
         compute_ops = io_words = 0.0
         for k0 in range(0, n, s):
@@ -91,9 +91,7 @@ class BlockedLUTriangularization(Kernel):
 
     def _run(self, ctx: ExecutionContext, *, a: np.ndarray) -> np.ndarray:
         a = np.array(a, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigurationError("triangularization requires a square matrix")
-        n = a.shape[0]
+        n = _square_order(a)
         s = tile_side_for_memory(ctx.memory.capacity_words)
 
         for k0 in range(0, n, s):
@@ -106,9 +104,11 @@ class BlockedLUTriangularization(Kernel):
             # 1. Factor the diagonal block in local memory.
             with ctx.memory.buffer("diag", w * w):
                 diag = a[k0:k1, k0:k1]
-                for k in range(w - 1):
+                for k in range(w):
+                    # Global pivots 0..n-2 are divisors, as in unblocked_lu:
+                    # a block's last pivot divides the column panel below.
                     pivot = diag[k, k]
-                    if pivot == 0:
+                    if pivot == 0 and k0 + k < n - 1:
                         raise ConfigurationError(
                             "zero pivot encountered; matrix needs pivoting"
                         )
@@ -140,6 +140,12 @@ class BlockedLUTriangularization(Kernel):
             ctx.io.write(written)
             ctx.phases.record(f"panel[{k0}:{k1}]", ops, read + written)
         return a
+
+
+def _square_order(a: np.ndarray) -> int:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigurationError("triangularization requires a square matrix")
+    return int(a.shape[0])
 
 
 def _step_counts(w: int, t: int, s: int) -> tuple[float, float, float]:

@@ -2,11 +2,11 @@
 
 Four check groups, each producing pass/warn/fail :class:`Finding` records:
 
-* **cache integrity** -- walk both on-disk caches (sweep-point JSON entries,
-  task pickle entries): truncated (zero-byte) or corrupt entries are
-  failures, leftover temp files and misplaced/unaccounted bytes are
-  warnings, and the accounted size is cross-checked against the caches' own
-  ``disk_usage_bytes()`` accessors.
+* **cache integrity** -- walk the on-disk task cache and the result store:
+  truncated (zero-byte) or corrupt entries are failures, leftover temp
+  files and misplaced/unaccounted bytes are warnings, and the accounted
+  size is cross-checked against their own ``disk_usage_bytes()``
+  accessors.
 * **journal replayability** -- parse every line of the JSON-lines job
   journal: a bad *tail* line is a warning (the documented crash artifact a
   single torn append can leave); a mid-file line that is a truncated JSON
@@ -174,12 +174,6 @@ def _scan_entries(root: Path, suffix: str, loader) -> dict[str, Any]:
     }
 
 
-def _load_result_entry(path: Path) -> None:
-    entry = json.loads(path.read_text())
-    if not isinstance(entry, dict) or "schema" not in entry:
-        raise ValueError(f"cache entry {path} has no schema field")
-
-
 def _load_task_entry(path: Path) -> None:
     entry = pickle.loads(path.read_bytes())
     if not isinstance(entry, dict) or "schema" not in entry:
@@ -202,7 +196,7 @@ def _load_store_segment(path: Path) -> None:
 
 
 def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
-    """Integrity findings for both stores under one cache root."""
+    """Integrity findings for the cache and the result store under one root."""
     if cache_dir is None:
         return [
             Finding(
@@ -222,14 +216,12 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
 
     findings = []
     stores = (
-        ("cache.results", root, ".json", _load_result_entry, ("tasks", "store")),
-        ("cache.tasks", root / "tasks", ".pkl", _load_task_entry, ()),
+        ("cache.tasks", root, ".pkl", _load_task_entry, ("store",)),
         ("cache.store", root / "store" / "runs", ".json", _load_store_segment, ()),
     )
     for check, store_root, suffix, loader, exclude in stores:
-        if not store_root.exists():
-            label = {"cache.store": "result"}.get(check, store_root.name or "results")
-            findings.append(Finding(check, PASS, f"no {label} store yet"))
+        if not store_root.exists():  # only the store can be missing
+            findings.append(Finding(check, PASS, "no result store yet"))
             continue
         scan = _scan_entries(store_root, suffix, loader)
         broken = scan["corrupt"] + scan["truncated"]
@@ -266,7 +258,7 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
                 )
             )
         # Orphaned temp files: a crashed writer's leftovers.  Scoped per
-        # store so results/ does not double-report tasks/ leftovers.
+        # store so the cache does not double-report the store's leftovers.
         tmp_files = [
             path
             for path in store_root.rglob("*.tmp")
@@ -284,16 +276,16 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
             )
 
     # Unaccounted bytes: whatever lives under the root that no store's
-    # disk_usage_bytes() accessor would report (stray files, orphans).
-    from repro.runtime.cache import ResultCache, TaskCache
+    # disk_usage_bytes() accessor would report (stray files, orphans, and
+    # the JSON point entries and tasks/ directory of older releases).
+    from repro.runtime.cache import TaskCache
     from repro.store.core import ResultStore
 
     total_bytes = sum(
         path.stat().st_size for path in root.rglob("*") if path.is_file()
     )
     accounted = (
-        ResultCache(root).disk_usage_bytes()
-        + TaskCache(root / "tasks").disk_usage_bytes()
+        TaskCache(root).disk_usage_bytes()
         + ResultStore(root / "store").disk_usage_bytes()
     )
     unaccounted = total_bytes - accounted
@@ -303,7 +295,7 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
                 "cache.disk",
                 WARN,
                 f"{unaccounted} of {total_bytes} bytes under {root} are not "
-                "cache entries (stray or temp files)",
+                "cache entries (stray, temp or legacy files)",
                 {"total_bytes": total_bytes, "accounted_bytes": accounted},
             )
         )

@@ -6,13 +6,13 @@ This package replaces per-point serial experiment loops with four layers:
   cost models, intensity functions and rebalancing laws over numpy grids of
   ``(N, M, alpha)`` in single array passes;
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
-  callable plus parameters, content-addressed by module source, executed
-  serially or across a process pool with deterministic ordering;
+  callable plus parameters, content-addressed by module source, resolved by
+  the one :class:`TaskRunner` (cache, in-batch dedup, a long-lived process
+  pool) with deterministic ordering;
 * :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer,
-  fanning instrumented-kernel executions out with per-point caching via
-* :mod:`repro.runtime.cache` -- content-addressed on-disk caches (measured
-  sweep points in :class:`ResultCache`, whole experiment results in
-  :class:`TaskCache`);
+  lowering instrumented-kernel executions onto point tasks;
+* :mod:`repro.runtime.cache` -- the content-addressed on-disk
+  :class:`TaskCache` (``ResultCache`` is its former name);
 * :mod:`repro.runtime.suites` -- declarative, named scenario suites (kernel
   sweeps plus experiment tasks) that lower onto the engines and emit
   JSON/CSV for the benchmark harness and CI.
@@ -26,7 +26,7 @@ from repro.runtime.cache import (
     execution_key,
     kernel_code_version,
 )
-from repro.runtime.engine import SweepPlan, SweepRunner, run_sweep
+from repro.runtime.engine import SweepPlan, SweepRunner
 from repro.runtime.suites import (
     ExperimentScenario,
     ExperimentScenarioResult,
@@ -50,8 +50,6 @@ from repro.runtime.tasks import (
     TaskRunStats,
     callable_code_version,
     default_worker_count,
-    execute_tasks,
-    run_tasks,
     task_key,
 )
 from repro.runtime.vectorized import (
@@ -84,7 +82,6 @@ __all__ = [
     "callable_code_version",
     "cost_grid",
     "default_worker_count",
-    "execute_tasks",
     "execution_key",
     "experiment_kinds",
     "get_suite",
@@ -94,8 +91,6 @@ __all__ = [
     "rebalance_curves",
     "rebalance_grid",
     "run_suite",
-    "run_sweep",
-    "run_tasks",
     "store_for",
     "suite_names",
     "task_key",

@@ -1,29 +1,20 @@
-"""Content-addressed on-disk caches for deterministic computations.
+"""The content-addressed on-disk cache for deterministic computations.
 
-Two stores live here:
+:class:`TaskCache` stores the picklable result of every
+:class:`~repro.runtime.tasks.Task` under the task's content address.  Two
+shapes of task share it:
 
-* :class:`ResultCache` -- kernel execution measurements.  Running an
-  instrumented kernel is deterministic: the measured cost, peak residency and
-  intensity depend only on the kernel (code and configuration), the problem
-  instance and the local-memory size.  The cache exploits this by keying each
-  execution on a SHA-256 digest of
+* experiment tasks, keyed by callable identity, module source and
+  parameters (:func:`repro.runtime.tasks.task_key`);
+* sweep points, keyed by :func:`execution_key` -- a SHA-256 digest of the
+  kernel's class, configuration and *source code* (so editing a kernel
+  invalidates its cached results), a structural fingerprint of the problem
+  instance (array contents included) and the memory size.  A point's value
+  is a slim :class:`~repro.kernels.base.KernelExecution`: the measured
+  numbers without the numerical output.
 
-  - the kernel's class, configuration and *source code* (so editing a kernel
-    automatically invalidates its cached results),
-  - a structural fingerprint of the problem instance (array contents
-    included),
-  - and the memory size.
-
-  Cached entries store the measured numbers only -- not the numerical output
-  -- so a cache hit reconstructs a :class:`~repro.kernels.base.KernelExecution`
-  with ``output=None``.  Runs that need the output (``verify=True``) bypass
-  the cache.
-
-* :class:`TaskCache` -- arbitrary picklable results of
-  :class:`~repro.runtime.tasks.Task` executions, keyed by the task's
-  content address (callable identity, module source, parameters).  Entries
-  hold the complete result object, so a hit is indistinguishable from a
-  fresh run.
+Entries hold the complete result object, so a hit is indistinguishable
+from a fresh run.
 """
 
 from __future__ import annotations
@@ -43,11 +34,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.model import ComputationCost
-from repro.exceptions import ConfigurationError
 from repro.faults.injector import maybe_inject
-from repro.kernels.base import Kernel, KernelExecution
-from repro.kernels.counters import PhaseRecorder
+from repro.kernels.base import Kernel
 from repro.obs.metrics import REGISTRY
 
 __all__ = [
@@ -62,8 +50,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 TASK_SCHEMA_VERSION = 1
 
-# Process-wide cache instrumentation, labelled by store ("results"/"tasks").
-# The per-instance ``CacheStats`` counters remain the API callers read; the
+# Process-wide cache instrumentation (label ``cache="tasks"``).  The
+# per-instance ``CacheStats`` counters remain the API callers read; the
 # metric families aggregate across every instance for ``GET /metrics``.
 _METRIC_HITS = REGISTRY.counter(
     "repro_cache_hits_total",
@@ -189,107 +177,6 @@ class CacheStats:
         }
 
 
-class ResultCache:
-    """Content-addressed store of kernel execution measurements.
-
-    Entries live as one small JSON file each under ``root``, sharded by the
-    first byte of the key.  The cache is safe to share between processes:
-    writes go through a temporary file followed by an atomic rename, and a
-    corrupt or truncated entry is treated as a miss.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def disk_usage_bytes(self) -> int:
-        """Total size on disk of every entry (excludes unrelated files)."""
-        return _disk_usage(self.root, "*/*.json")
-
-    def key_for(
-        self, kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
-    ) -> str:
-        return execution_key(kernel, memory_words, problem)
-
-    def load(self, key: str) -> KernelExecution | None:
-        """Return the cached execution for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-            if entry["schema"] != SCHEMA_VERSION:
-                raise ValueError(f"unsupported cache schema {entry['schema']!r}")
-            execution = KernelExecution(
-                kernel_name=entry["kernel_name"],
-                memory_words=int(entry["memory_words"]),
-                problem=entry.get("problem_summary", {}),
-                output=None,
-                cost=ComputationCost(
-                    float(entry["compute_ops"]), float(entry["io_words"])
-                ),
-                peak_memory_words=int(entry["peak_memory_words"]),
-                phases=PhaseRecorder(),
-                from_cache=True,
-            )
-        except FileNotFoundError:
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="results").inc()
-            return None
-        except (KeyError, ValueError, TypeError, OSError):
-            # Corrupt entry: drop it and treat the lookup as a miss.
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="results").inc()
-            return None
-        self.stats.hits += 1
-        _METRIC_HITS.labels(cache="results").inc()
-        return execution
-
-    def store(self, key: str, execution: KernelExecution) -> None:
-        """Persist one execution's measurements under ``key``."""
-        if execution.output is None and not execution.from_cache:
-            raise ConfigurationError(
-                "refusing to cache an execution without an output; it was not "
-                "produced by a real kernel run"
-            )
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "kernel_name": execution.kernel_name,
-            "memory_words": int(execution.memory_words),
-            "problem_summary": _problem_summary(execution.problem),
-            "compute_ops": float(execution.cost.compute_ops),
-            "io_words": float(execution.cost.io_words),
-            "peak_memory_words": int(execution.peak_memory_words),
-        }
-        data = json.dumps(entry, sort_keys=True).encode()
-        try:
-            _atomic_write(self._path(key), data)
-        except OSError:
-            # Best-effort durability: the measurement in hand is correct,
-            # so a full disk must not fail the run -- the key is simply a
-            # miss (and a re-measure) next time.
-            self.stats.store_failures += 1
-            _METRIC_STORE_FAILURES.labels(cache="results").inc()
-            return
-        self.stats.stores += 1
-        _METRIC_STORES.labels(cache="results").inc()
-        _METRIC_STORE_BYTES.labels(cache="results").inc(len(data))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-        removed = 0
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-
 def _disk_usage(root: Path, pattern: str) -> int:
     total = 0
     for path in root.glob(pattern):
@@ -341,9 +228,9 @@ class TaskCache:
 
     Entries live as one pickle file each under ``root``, sharded by the first
     byte of the key, written atomically; a corrupt or truncated entry is
-    treated as a miss and removed.  Unlike :class:`ResultCache`, entries hold
-    the complete result object, so replayed results are bitwise identical to
-    fresh ones (pickling round-trips floats and numpy arrays exactly).
+    treated as a miss and removed.  Entries hold the complete result
+    object, so replayed results are bitwise identical to fresh ones
+    (pickling round-trips floats and numpy arrays exactly).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -391,8 +278,8 @@ class TaskCache:
         try:
             _atomic_write(self._path(key), data)
         except OSError:
-            # Best-effort, as in ResultCache.store: never fail the task
-            # whose result was already computed.
+            # Best-effort durability: never fail the task whose result
+            # was already computed -- the key is simply a miss next time.
             self.stats.store_failures += 1
             _METRIC_STORE_FAILURES.labels(cache="tasks").inc()
             return
@@ -409,14 +296,5 @@ class TaskCache:
         return removed
 
 
-def _problem_summary(problem: Mapping[str, Any]) -> dict[str, Any]:
-    """A human-readable sketch of the problem, stored alongside the numbers."""
-    summary: dict[str, Any] = {}
-    for key, value in problem.items():
-        if isinstance(value, np.ndarray):
-            summary[key] = f"ndarray{tuple(value.shape)}:{value.dtype}"
-        elif isinstance(value, (bool, int, float, str)) or value is None:
-            summary[key] = value
-        else:
-            summary[key] = repr(value)
-    return summary
+#: Another name for :class:`TaskCache`, kept for callers of the older API.
+ResultCache = TaskCache

@@ -3,32 +3,31 @@
 The serial :class:`~repro.analysis.sweep.MemorySweep` runs one kernel at one
 memory size at a time.  This module generalises it: a :class:`SweepRunner`
 flattens any number of sweeps (one kernel x one problem x a memory grid)
-into a list of independent *points*, resolves as many as it can from a
-:class:`~repro.runtime.cache.ResultCache`, fans the remainder out as
-:class:`~repro.runtime.tasks.Task` objects across the shared process-pool
-layer, and reassembles the results in deterministic order.  Serial and
-parallel execution run exactly the same kernel code on exactly the same
-problem instances, so their measured numbers are bitwise identical.
-
-The sweep engine is one client of the generic task runtime
-(:mod:`repro.runtime.tasks`); it keeps its own :class:`ResultCache` because
-sweep points have a richer content address (kernel class + configuration +
-code version + problem fingerprint + memory size) and store only the
-measured numbers rather than the whole execution.
+into independent *points*, lowers each point onto a
+:class:`~repro.runtime.tasks.Task` keyed by
+:func:`~repro.runtime.cache.execution_key`, resolves them on its
+:class:`~repro.runtime.tasks.TaskRunner` -- the runtime's one cache and one
+process pool -- and regroups the results per sweep.  Serial and parallel
+execution run exactly the same kernel code on exactly the same problem
+instances, so their measured numbers are bitwise identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
+import repro.runtime.cache as runtime_cache
 from repro.analysis.sweep import MemorySweepResult, normalize_memory_sizes
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, KernelExecution
-from repro.runtime.cache import ResultCache
-from repro.runtime.tasks import Task, default_worker_count, execute_tasks
+from repro.kernels.counters import PhaseRecorder
+from repro.runtime.tasks import Task, TaskRunner
 
-__all__ = ["SweepPlan", "SweepRunner", "run_sweep", "default_worker_count"]
+__all__ = ["SweepPlan", "SweepRunner"]
 
 
 @dataclass(frozen=True)
@@ -67,45 +66,71 @@ class SweepPlan:
         return self.kernel.problem_for_memory(memory_words, self.scale)
 
 
-@dataclass
-class _Point:
-    """One flattened execution: a kernel, a memory size and its problem."""
+def _problem_summary(problem: Mapping[str, Any]) -> dict[str, Any]:
+    """A human-readable sketch of the problem, kept in place of its arrays."""
+    summary: dict[str, Any] = {}
+    for key, value in problem.items():
+        if isinstance(value, np.ndarray):
+            summary[key] = f"ndarray{tuple(value.shape)}:{value.dtype}"
+        elif isinstance(value, (bool, int, float, str)) or value is None:
+            summary[key] = value
+        else:
+            summary[key] = repr(value)
+    return summary
 
-    plan_index: int
-    point_index: int
-    kernel: Kernel
-    memory_words: int
-    problem: dict[str, Any]
-    verify: bool
 
+def _execute_point(
+    kernel: Kernel, memory_words: int, problem: dict[str, Any], verify: bool
+) -> KernelExecution:
+    """Worker entry: run one sweep point and return its slim record.
 
-def _execute_point(point: _Point) -> KernelExecution:
-    """Worker entry: run one sweep point (picklable, top-level)."""
-    execution = point.kernel.execute(point.memory_words, **point.problem)
-    if point.verify and not point.kernel.verify(execution):
+    Every sweep consumer reads only the cost, intensity, peak residency and
+    names, so the record drops the numerical output, the phase breakdown and
+    the problem's arrays -- what the cache stores and the pool ships back.
+    """
+    execution = kernel.execute(memory_words, **problem)
+    if verify and not kernel.verify(execution):
         raise ConfigurationError(
-            f"{point.kernel.name} produced an incorrect result "
-            f"at M={point.memory_words}"
+            f"{kernel.name} produced an incorrect result at M={memory_words}"
         )
-    return execution
+    return dataclasses.replace(
+        execution,
+        problem=_problem_summary(problem),
+        output=None,
+        phases=PhaseRecorder(),
+    )
+
+
+class _PointTask(Task):
+    """A sweep point, content-addressed by its kernel execution."""
+
+    def key(self) -> str:
+        # Looked up on the module at call time, so a wrapper installed on
+        # ``repro.runtime.cache.execution_key`` (per-layer tracing) sees
+        # the point keys too.
+        params = self.params
+        return runtime_cache.execution_key(
+            params["kernel"], params["memory_words"], params["problem"]
+        )
 
 
 class SweepRunner:
-    """Executes sweep plans serially or across a process pool, with caching.
+    """Lowers sweep plans onto point tasks and regroups the results.
 
     Parameters
     ----------
     parallel:
-        Fan kernel executions out across a process pool.  Results are
+        Fan kernel executions out across the process pool.  Results are
         collected back in submission order, so the output is deterministic
         and identical to a serial run.
     max_workers:
         Pool size; defaults to the machine's core count.
     cache:
-        Optional :class:`ResultCache`.  Points whose key is present are
-        replayed without executing anything; fresh executions are stored
-        back.  Ignored when ``verify`` is set (verification needs the
-        numerical output, which cached entries do not carry).
+        Optional :class:`~repro.runtime.cache.TaskCache`, shared with the
+        suite's experiment tasks (:func:`repro.runtime.task_runner_for`).
+        Points whose key is present are replayed without executing anything;
+        fresh executions are stored back.  Ignored when ``verify`` is set, so
+        every point then runs and is checked.
     verify:
         Check every execution's output against the kernel's reference
         implementation, as in :class:`MemorySweep`.
@@ -116,17 +141,27 @@ class SweepRunner:
         *,
         parallel: bool = False,
         max_workers: int | None = None,
-        cache: ResultCache | None = None,
+        cache: runtime_cache.TaskCache | None = None,
         verify: bool = False,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers!r}"
-            )
-        self.parallel = parallel
-        self.max_workers = max_workers or default_worker_count()
-        self.cache = cache
         self.verify = verify
+        self.task_runner = TaskRunner(
+            parallel=parallel,
+            max_workers=max_workers,
+            cache=None if verify else cache,
+        )
+
+    @property
+    def parallel(self) -> bool:
+        return self.task_runner.parallel
+
+    @property
+    def max_workers(self) -> int:
+        return self.task_runner.max_workers
+
+    @property
+    def cache(self) -> runtime_cache.TaskCache | None:
+        return self.task_runner.cache
 
     # -- public API ----------------------------------------------------------
 
@@ -155,103 +190,48 @@ class SweepRunner:
         suite saturates the machine even when individual sweeps are short.
         The returned list is ordered like ``plans``.
         """
-        points: list[_Point] = []
-        last_problems: dict[int, dict[str, Any]] = {}
-        for plan_index, plan in enumerate(plans):
-            for point_index, size in enumerate(plan.memory_sizes):
+        tasks = self.lower(plans)
+        return self.regroup(plans, tasks, self.task_runner.run(tasks))
+
+    def lower(self, plans: Sequence[SweepPlan]) -> list[Task]:
+        """One point task per (plan, memory size), in plan then grid order."""
+        tasks: list[Task] = []
+        for plan in plans:
+            for size in plan.memory_sizes:
                 plan.kernel.validate_memory(size)
-                problem = plan.problem_at(size)
-                # run_default semantics: the sweep reports the problem of the
-                # largest memory size, matching MemorySweep.run_default.
-                last_problems[plan_index] = problem
-                points.append(
-                    _Point(
-                        plan_index=plan_index,
-                        point_index=point_index,
-                        kernel=plan.kernel,
-                        memory_words=size,
-                        problem=problem,
-                        verify=self.verify,
+                tasks.append(
+                    _PointTask(
+                        fn=_execute_point,
+                        params={
+                            "kernel": plan.kernel,
+                            "memory_words": size,
+                            "problem": plan.problem_at(size),
+                            "verify": self.verify,
+                        },
+                        name=f"{plan.kernel.name}@M={size}",
                     )
                 )
+        return tasks
 
-        executions = self._execute(points)
-
-        grouped: dict[int, list[KernelExecution]] = {
-            plan_index: [] for plan_index in range(len(plans))
-        }
-        for point, execution in zip(points, executions):
-            grouped[point.plan_index].append(execution)
-
-        return [
-            MemorySweepResult(
-                kernel_name=plan.kernel.name,
-                problem=dict(last_problems[plan_index]),
-                memory_sizes=plan.memory_sizes,
-                executions=tuple(grouped[plan_index]),
+    @staticmethod
+    def regroup(
+        plans: Sequence[SweepPlan],
+        tasks: Sequence[Task],
+        executions: Sequence[KernelExecution],
+    ) -> list[MemorySweepResult]:
+        """Reassemble :meth:`lower`'s point results into one sweep per plan."""
+        sweeps = []
+        end = 0
+        for plan in plans:
+            start, end = end, end + len(plan.memory_sizes)
+            sweeps.append(
+                MemorySweepResult(
+                    kernel_name=plan.kernel.name,
+                    # run_default semantics: the sweep reports the problem of
+                    # the largest memory size, matching MemorySweep.run_default.
+                    problem=dict(tasks[end - 1].params["problem"]),
+                    memory_sizes=plan.memory_sizes,
+                    executions=tuple(executions[start:end]),
+                )
             )
-            for plan_index, plan in enumerate(plans)
-        ]
-
-    # -- internals -----------------------------------------------------------
-
-    def _execute(self, points: list[_Point]) -> list[KernelExecution | None]:
-        """Resolve every point, via cache where possible, preserving order."""
-        executions: list[KernelExecution | None] = [None] * len(points)
-        use_cache = self.cache is not None and not self.verify
-
-        pending: list[tuple[int, _Point, str | None]] = []
-        for i, point in enumerate(points):
-            key = None
-            if use_cache:
-                key = self.cache.key_for(point.kernel, point.memory_words, point.problem)
-                cached = self.cache.load(key)
-                if cached is not None:
-                    executions[i] = cached
-                    continue
-            pending.append((i, point, key))
-
-        fresh = self._run_points([point for _, point, _ in pending])
-
-        for (i, _, key), execution in zip(pending, fresh):
-            executions[i] = execution
-            if use_cache and key is not None:
-                self.cache.store(key, execution)
-        return executions
-
-    def _run_points(self, points: list[_Point]) -> list[KernelExecution]:
-        tasks = [
-            Task(
-                fn=_execute_point,
-                params={"point": point},
-                name=f"{point.kernel.name}@M={point.memory_words}",
-            )
-            for point in points
-        ]
-        return execute_tasks(
-            tasks, parallel=self.parallel, max_workers=self.max_workers
-        )
-
-
-def run_sweep(
-    kernel: Kernel,
-    memory_sizes: Sequence[int],
-    *,
-    problem: Mapping[str, Any] | None = None,
-    scale: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    verify: bool = False,
-) -> MemorySweepResult:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    runner = SweepRunner(
-        parallel=parallel, max_workers=max_workers, cache=cache, verify=verify
-    )
-    plan = SweepPlan(
-        kernel=kernel,
-        memory_sizes=tuple(memory_sizes),
-        problem=problem,
-        scale=scale,
-    )
-    return runner.run_plans([plan])[0]
+        return sweeps

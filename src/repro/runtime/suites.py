@@ -6,10 +6,10 @@ balance against).  An :class:`ExperimentScenario` names one experiment driver
 (Figure 2, the Section 4 arrays, the pebble game, the Warp study) and its
 parameters, lowered onto generic :class:`~repro.runtime.tasks.Task` objects.
 A :class:`ScenarioSuite` is a named collection of both; :func:`run_suite`
-lowers the sweeps onto a :class:`~repro.runtime.engine.SweepRunner` as one
-flat batch of points and the experiments onto a
-:class:`~repro.runtime.tasks.TaskRunner` as one flat batch of tasks, so
-every execution in the suite shares the worker pool and the result caches.
+lowers the sweeps onto point tasks (:class:`~repro.runtime.engine.SweepRunner`)
+and the experiments onto experiment tasks, both resolved on one
+:class:`~repro.runtime.tasks.TaskRunner`, so every execution in the suite
+shares the worker pool and the cache.
 
 The named suites double as the CI benchmark surface: ``repro suite quick``
 covers every experiment of the reproduction and emits the machine-readable
@@ -45,7 +45,7 @@ from repro.kernels import (
 )
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
-from repro.runtime.cache import TaskCache, execution_key
+from repro.runtime.cache import execution_key
 from repro.runtime.engine import SweepPlan, SweepRunner
 from repro.runtime.tasks import Task, TaskRunner
 
@@ -724,7 +724,7 @@ class ScenarioResult:
         """The content address of each sweep point, in memory-grid order.
 
         These are exactly the keys :class:`~repro.runtime.engine.SweepRunner`
-        used for the result cache, recomputed from the deterministic plan --
+        caches the points under, recomputed from the deterministic plan --
         so store records join against cache entries without the runner
         having to thread keys through.
         """
@@ -875,25 +875,19 @@ class SuiteResult:
 
 
 def task_runner_for(runner: SweepRunner) -> TaskRunner:
-    """A :class:`TaskRunner` matching a sweep runner's pool and cache setup.
+    """The :class:`TaskRunner` a sweep runner resolves its points on.
 
-    The experiment-task cache lives under a ``tasks/`` subdirectory of the
-    sweep result cache, so one ``--cache-dir`` (or ``REPRO_CACHE_DIR``)
-    governs both stores.
+    Handing it to the experiment tasks too means a suite's points and
+    experiment tasks share one cache, one stats object and one pool.
     """
-    cache = None
-    if runner.cache is not None:
-        cache = TaskCache(runner.cache.root / "tasks")
-    return TaskRunner(
-        parallel=runner.parallel, max_workers=runner.max_workers, cache=cache
-    )
+    return runner.task_runner
 
 
 def store_for(runner: SweepRunner) -> Any | None:
     """The :class:`~repro.store.core.ResultStore` matching a runner's cache.
 
-    The store lives under a ``store/`` subdirectory of the sweep result
-    cache, so one ``--cache-dir`` (or ``REPRO_CACHE_DIR``) governs caches
+    The store lives under a ``store/`` subdirectory of the cache root, so
+    one ``--cache-dir`` (or ``REPRO_CACHE_DIR``) governs caches
     and recorded history alike.  Returns ``None`` when the runner is
     uncached -- no cache root, no history.
     """
@@ -905,6 +899,10 @@ def store_for(runner: SweepRunner) -> Any | None:
     return ResultStore(runner.cache.root / "store")
 
 
+def _hit_counts(hits: Sequence[bool]) -> dict[str, int]:
+    return {"hits": sum(hits), "misses": len(hits) - sum(hits)}
+
+
 def run_suite(
     suite: ScenarioSuite | str,
     runner: SweepRunner | None = None,
@@ -914,9 +912,9 @@ def run_suite(
 ) -> SuiteResult:
     """Execute a suite: sweeps as one flat point batch, experiments as tasks.
 
-    ``task_runner`` defaults to one mirroring ``runner``'s parallelism and
-    cache location (:func:`task_runner_for`), so serial/parallel and
-    cached/uncached behave consistently across both halves of the suite.
+    ``task_runner`` defaults to the one ``runner`` resolves its points on
+    (:func:`task_runner_for`), so both halves of the suite share one cache
+    and one process pool.
 
     When the runner is cached and ``record`` is true, the finished result is
     ingested into the result store under the same cache root, making every
@@ -929,6 +927,7 @@ def run_suite(
     if task_runner is None:
         task_runner = task_runner_for(runner)
     plans = [scenario.plan() for scenario in suite.scenarios]
+    point_tasks = runner.lower(plans)
     experiment_tasks = [scenario.tasks() for scenario in suite.experiments]
 
     started = time.perf_counter()
@@ -941,11 +940,12 @@ def run_suite(
             "experiments": len(experiment_tasks),
         },
     ):
-        sweeps = runner.run_plans(plans)
-        flat_results = task_runner.run(
+        executions, point_hits = runner.task_runner.resolve(point_tasks)
+        flat_results, task_hits = task_runner.resolve(
             [task for tasks in experiment_tasks for task in tasks]
         )
     elapsed = time.perf_counter() - started
+    sweeps = runner.regroup(plans, point_tasks, executions)
 
     experiment_results = []
     cursor = 0
@@ -959,16 +959,20 @@ def run_suite(
         )
         cursor += len(tasks)
 
+    # This run's own hits and misses, read off the batch flags: counters
+    # shared with other service workers would mix in their lookups.  (Test
+    # the caches against None: a cache's truth value is its entry count,
+    # a directory scan.)
     runtime_info: dict[str, object] = {
         "parallel": runner.parallel,
         "max_workers": runner.max_workers,
-        "cache": runner.cache.stats.as_dict() if runner.cache else None,
+        "cache": _hit_counts(point_hits) if runner.cache is not None else None,
         "task_cache": (
-            task_runner.cache.stats.as_dict() if task_runner.cache else None
+            _hit_counts(task_hits) if task_runner.cache is not None else None
         ),
         "task_runner": task_runner.stats.as_dict(),
-        "points": sum(len(plan.memory_sizes) for plan in plans),
-        "experiment_tasks": sum(len(tasks) for tasks in experiment_tasks),
+        "points": len(point_tasks),
+        "experiment_tasks": len(flat_results),
     }
     result = SuiteResult(
         suite=suite,

@@ -1,23 +1,21 @@
-"""Generic experiment tasks: pooled, cached execution of any computation.
+"""Generic tasks: pooled, cached execution of any computation.
 
-PR 1's :class:`~repro.runtime.engine.SweepRunner` parallelised and cached one
-shape of work -- a kernel executed at one memory size.  This module abstracts
-that shape away: a :class:`Task` is any top-level callable plus its keyword
-parameters, content-addressed by a SHA-256 digest of
+A :class:`Task` is any top-level callable plus its keyword parameters,
+content-addressed by a SHA-256 digest of
 
 * the callable's fully qualified name,
 * the *source code* of its module (plus any explicitly named supporting
   modules, so editing the algorithm invalidates previously cached results),
 * and a structural fingerprint of the parameters.
 
-A :class:`TaskRunner` resolves a batch of tasks against a
-:class:`~repro.runtime.cache.TaskCache`, fans the misses out across a
-``concurrent.futures`` process pool, and reassembles results in submission
-order -- so serial and parallel execution of the same batch are bitwise
-identical, and warm reruns replay entirely from the cache.  The sweep engine
-is one client of this layer (its points are tasks over
-``_execute_point``); the experiment drivers (Figure 2, Section 4 arrays, the
-pebble game, the Warp study) are the others.
+A :class:`TaskRunner` is the one resolve path of the runtime: it resolves
+a batch of tasks against its :class:`~repro.runtime.cache.TaskCache`, fans
+the misses out across its long-lived process pool, and reassembles results
+in submission order -- so serial and parallel execution of the same batch
+are bitwise identical, and warm reruns replay entirely from the cache.  The
+sweep engine lowers its points onto tasks (keyed by
+:func:`~repro.runtime.cache.execution_key`); the experiment drivers (Figure
+2, Section 4 arrays, the pebble game, the Warp study) are the other clients.
 """
 
 from __future__ import annotations
@@ -26,11 +24,13 @@ import hashlib
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
 import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
@@ -47,8 +47,6 @@ __all__ = [
     "task_key",
     "callable_code_version",
     "default_worker_count",
-    "execute_tasks",
-    "run_tasks",
 ]
 
 TASK_KEY_SCHEMA = 1
@@ -230,66 +228,6 @@ def _wrap_failure(task: Task, exc: BaseException) -> TaskExecutionError:
     )
 
 
-def execute_tasks(
-    tasks: Sequence[Task], *, parallel: bool, max_workers: int
-) -> list[Any]:
-    """Execute tasks (no cache), preserving submission order.
-
-    The shared pool primitive behind both :class:`TaskRunner` and the sweep
-    engine: results are collected back in submission order, so the output is
-    deterministic and identical to a serial run.  A task that raises surfaces
-    as :class:`~repro.exceptions.TaskExecutionError` naming the failing
-    task's label (the original exception is chained as ``__cause__``); in a
-    parallel batch the first failure *in submission order* wins, matching the
-    serial path.
-    """
-    if not tasks:
-        return []
-    # None when span collection is off: the untraced entry point is then
-    # submitted unchanged, so tracing-off is byte-identical to pre-span code.
-    ctx = obs_spans.task_context()
-    if not parallel or max_workers == 1 or len(tasks) == 1:
-        results = []
-        for task in tasks:
-            try:
-                if ctx is None:
-                    seconds, value = _run_task(task)
-                else:
-                    # In-process: the contextvar already parents the span;
-                    # capture_spans is reserved for pool children, where
-                    # swapping the process-global collector is race-free.
-                    with obs_spans.span(
-                        f"task:{task.label}",
-                        kind="task",
-                        attributes={"key": task.key()},
-                    ):
-                        seconds, value = _run_task(task)
-            except Exception as exc:
-                raise _wrap_failure(task, exc) from exc
-            _METRIC_TASK_SECONDS.observe(seconds)
-            results.append(value)
-        return results
-    workers = min(max_workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if ctx is None:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-        else:
-            futures = [pool.submit(_run_task_traced, task, ctx) for task in tasks]
-        results = []
-        for task, future in zip(tasks, futures):
-            try:
-                if ctx is None:
-                    seconds, value = future.result()
-                else:
-                    seconds, value, finished = future.result()
-                    obs_spans.absorb(finished)
-            except Exception as exc:
-                raise _wrap_failure(task, exc) from exc
-            _METRIC_TASK_SECONDS.observe(seconds)
-            results.append(value)
-        return results
-
-
 @dataclass
 class TaskRunStats:
     """Counters accumulated over the lifetime of a :class:`TaskRunner`.
@@ -317,12 +255,25 @@ class TaskRunStats:
 
 
 class TaskRunner:
-    """Executes task batches serially or across a process pool, with caching.
+    """Resolves task batches via the cache, serially or on a process pool.
+
+    Tasks sharing a content-addressed key within one batch execute once and
+    every duplicate observes the representative's result -- safe because
+    equal keys mean equal code and equal parameters, and tasks must be
+    deterministic (the same assumption the cache replays results under).
+
+    A parallel runner owns one :class:`ProcessPoolExecutor`, created on the
+    first batch that needs it and reused by every later batch (and by every
+    thread sharing the runner) until :meth:`close`.  Workers start from a
+    ``forkserver``, never by ``fork()`` of the calling process, which may
+    be a multi-threaded server.  A worker that dies mid-batch breaks the
+    pool: the batch raises :class:`BrokenProcessPool` (a transient error to
+    the job service's retry policy) and the next batch builds a fresh pool.
 
     Parameters
     ----------
     parallel:
-        Fan cache-missing tasks out across a process pool.  Results come
+        Fan cache-missing tasks out across the process pool.  Results come
         back in submission order either way.
     max_workers:
         Pool size; defaults to the scheduling-affinity core count.
@@ -330,12 +281,6 @@ class TaskRunner:
         Optional :class:`~repro.runtime.cache.TaskCache`.  Tasks whose key is
         present are replayed without executing anything; fresh results are
         stored back.
-    dedup:
-        Collapse tasks *within a batch* that share a content-addressed key:
-        one representative executes and every duplicate observes its result.
-        Safe because equal keys mean equal code and equal parameters, and the
-        runtime requires tasks to be deterministic (the same assumption the
-        cache already replays results under).
     """
 
     def __init__(
@@ -344,7 +289,6 @@ class TaskRunner:
         parallel: bool = False,
         max_workers: int | None = None,
         cache: TaskCache | None = None,
-        dedup: bool = True,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -353,20 +297,32 @@ class TaskRunner:
         self.parallel = parallel
         self.max_workers = max_workers or default_worker_count()
         self.cache = cache
-        self.dedup = dedup
         self.stats = TaskRunStats()
         # One runner may be shared by several threads (the job service's
-        # worker pool); counter updates are read-modify-write and need a lock.
-        self._stats_lock = threading.Lock()
+        # worker pool): the lock guards the counters and the pool handle.
+        self._lock = threading.Lock()
+        self._pool: ProcessPoolExecutor | None = None
 
     def run(self, tasks: Sequence[Task]) -> list[Any]:
         """Resolve every task, via the cache where possible, in order."""
+        return self.resolve(tasks)[0]
+
+    def run_one(self, task: Task) -> Any:
+        """Convenience: resolve a single task."""
+        return self.run([task])[0]
+
+    def resolve(self, tasks: Sequence[Task]) -> tuple[list[Any], list[bool]]:
+        """:meth:`run`, plus whether the cache served each task.
+
+        The flags describe this batch alone, so callers can report exact
+        per-batch hit counts while other threads share the runner.
+        """
         if not obs_spans.enabled():
             return self._resolve(tasks)
         with obs_spans.span(
             "tasks.run", kind="runtime", attributes={"tasks": len(tasks)}
         ) as batch_span:
-            results = self._resolve(tasks)
+            resolved = self._resolve(tasks)
             # Runner-lifetime counters, not batch counters: enough to tell
             # "replayed from cache" from "recomputed" for a slow batch.
             batch_span.set(
@@ -374,45 +330,33 @@ class TaskRunner:
                 cache_hits_total=self.stats.cache_hits,
                 deduped_total=self.stats.deduped,
             )
-            return results
+            return resolved
 
-    def _resolve(self, tasks: Sequence[Task]) -> list[Any]:
+    def _resolve(self, tasks: Sequence[Task]) -> tuple[list[Any], list[bool]]:
         results: list[Any] = [None] * len(tasks)
-        pending: list[tuple[int, Task, str | None]] = []
-        cache_hits = 0
+        hits = [False] * len(tasks)
+        # The first task with a given key executes; later ones become
+        # followers and observe the representative's result.
+        unique: list[tuple[int, Task, str]] = []
+        followers: dict[str, list[int]] = {}
         for i, task in enumerate(tasks):
-            key = None
-            if self.cache is not None or self.dedup:
-                key = task.key()
+            key = task.key()
             if self.cache is not None:
                 hit = self.cache.load(key)
                 if hit is not MISS:
                     results[i] = hit
-                    cache_hits += 1
+                    hits[i] = True
                     continue
-            pending.append((i, task, key))
+            if key in followers:
+                followers[key].append(i)
+            else:
+                followers[key] = []
+                unique.append((i, task, key))
 
-        # In-batch dedup: the first task with a given key executes, later
-        # ones become followers and observe the representative's result.
-        unique: list[tuple[int, Task, str | None]] = []
-        followers: dict[str, list[int]] = {}
-        seen: dict[str, int] = {}
-        deduped = 0
-        for i, task, key in pending:
-            if self.dedup and key is not None and key in seen:
-                followers.setdefault(key, []).append(i)
-                deduped += 1
-                continue
-            if key is not None:
-                seen[key] = i
-            unique.append((i, task, key))
-
-        fresh = execute_tasks(
-            [task for _, task, _ in unique],
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-        )
-        with self._stats_lock:
+        fresh = self._execute([task for _, task, _ in unique])
+        cache_hits = sum(hits)
+        deduped = len(tasks) - cache_hits - len(unique)
+        with self._lock:
             self.stats.cache_hits += cache_hits
             self.stats.deduped += deduped
             self.stats.executed += len(unique)
@@ -421,25 +365,103 @@ class TaskRunner:
         _METRIC_EXECUTED.inc(len(unique))
         for (i, task, key), value in zip(unique, fresh):
             results[i] = value
-            if self.cache is not None and key is not None:
+            if self.cache is not None:
                 self.cache.store(key, value, label=task.label)
-            if key is not None:
-                for j in followers.get(key, ()):
-                    results[j] = value
-        return results
+            for j in followers[key]:
+                results[j] = value
+        return results, hits
 
-    def run_one(self, task: Task) -> Any:
-        """Convenience: resolve a single task."""
-        return self.run([task])[0]
+    def _execute(self, tasks: Sequence[Task]) -> list[Any]:
+        """Execute tasks (no cache), preserving submission order.
 
+        A task that raises surfaces as
+        :class:`~repro.exceptions.TaskExecutionError` naming the failing
+        task's label (the original exception chained as ``__cause__``); in
+        a parallel batch the first failure *in submission order* wins,
+        matching the serial path.
+        """
+        # None when span collection is off: the untraced entry point is then
+        # submitted unchanged, so tracing-off is byte-identical to pre-span code.
+        ctx = obs_spans.task_context()
+        if not self.parallel or self.max_workers == 1 or len(tasks) <= 1:
+            return [self._execute_here(task, ctx) for task in tasks]
+        pool = self._executor()
+        futures = []
+        try:
+            for task in tasks:
+                if ctx is None:
+                    futures.append(pool.submit(_run_task, task))
+                else:
+                    futures.append(pool.submit(_run_task_traced, task, ctx))
+            results = []
+            for task, future in zip(tasks, futures):
+                try:
+                    if ctx is None:
+                        seconds, value = future.result()
+                    else:
+                        seconds, value, finished = future.result()
+                        obs_spans.absorb(finished)
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:
+                    raise _wrap_failure(task, exc) from exc
+                _METRIC_TASK_SECONDS.observe(seconds)
+                results.append(value)
+            return results
+        except BrokenProcessPool as exc:
+            self._discard(pool)
+            raise BrokenProcessPool(
+                f"a pool worker died during a batch of {len(tasks)} tasks; "
+                "the next batch starts a fresh pool"
+            ) from exc
+        finally:
+            for future in futures:
+                future.cancel()  # no-op once done; drops work after a failure
 
-def run_tasks(
-    tasks: Sequence[Task],
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    cache: TaskCache | None = None,
-) -> list[Any]:
-    """One-shot convenience wrapper around :class:`TaskRunner`."""
-    runner = TaskRunner(parallel=parallel, max_workers=max_workers, cache=cache)
-    return runner.run(tasks)
+    def _execute_here(
+        self, task: Task, ctx: tuple[str | None, str | None] | None
+    ) -> Any:
+        try:
+            if ctx is None:
+                seconds, value = _run_task(task)
+            else:
+                # In-process: the contextvar already parents the span;
+                # capture_spans is reserved for pool children, where
+                # swapping the process-global collector is race-free.
+                with obs_spans.span(
+                    f"task:{task.label}",
+                    kind="task",
+                    attributes={"key": task.key()},
+                ):
+                    seconds, value = _run_task(task)
+        except Exception as exc:
+            raise _wrap_failure(task, exc) from exc
+        _METRIC_TASK_SECONDS.observe(seconds)
+        return value
+
+    def _executor(self) -> ProcessPoolExecutor:
+        """The runner's pool, created on first use."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.max_workers,
+                    mp_context=multiprocessing.get_context("forkserver"),
+                )
+            return self._pool
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a broken pool so the next batch builds a fresh one."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the pool down, waiting for its workers to exit.
+
+        The runner stays usable: a later parallel batch starts a new pool.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -8,8 +8,7 @@ by one-shot CLI processes; this package is the long-lived front end:
 * :mod:`repro.service.jobs` -- the :class:`Job` state machine and the
   thread-safe :class:`JobStore` with JSON-lines restart recovery;
 * :mod:`repro.service.scheduler` -- content-addressed dedup (identical
-  in-flight submissions run once) and batching of analytic sweeps onto the
-  vectorized evaluator;
+  in-flight submissions run once) in a FIFO queue with retry backoff;
 * :mod:`repro.service.workers` -- the executor/worker-pool bridge onto
   :class:`~repro.runtime.tasks.TaskRunner` and
   :class:`~repro.runtime.engine.SweepRunner`, plus the :class:`JobService`
@@ -31,7 +30,7 @@ injector in :mod:`repro.faults` can rehearse all of it reproducibly.
 
 Observability rides on :mod:`repro.obs`: every submission carries a trace
 ID (minted or taken from ``X-Repro-Trace``) through the scheduler, the
-journal and the executor's task labels; ``GET /jobs/{id}`` exposes the
+journal and the executor's spans; ``GET /jobs/{id}`` exposes the
 per-job state-transition timeline; ``GET /metrics`` exposes the process
 metrics registry; ``repro doctor`` diagnoses cache/journal/worker health.
 See ``docs/operations.md``.
@@ -64,7 +63,6 @@ from repro.service.scheduler import (
     JobScheduler,
     SchedulerStats,
     analytic_sweep_payload,
-    evaluate_analytic_sweeps,
     job_key,
     normalize_job_params,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "ServiceHTTPServer",
     "WorkerPool",
     "analytic_sweep_payload",
-    "evaluate_analytic_sweeps",
     "is_transient",
     "job_key",
     "normalize_job_params",

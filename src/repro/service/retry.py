@@ -1,7 +1,8 @@
 """Retry policies: bounded attempts, exponential backoff, per-kind deadlines.
 
 A :class:`RetryPolicy` answers two questions for a job that just failed in
-a *transient* way (a worker crash, an injected fault, an I/O error):
+a *transient* way (a worker crash, a dead pool process, an injected fault,
+an I/O error):
 
 * **may it run again?** -- ``allows_retry(attempts, age_seconds)``: attempts
   are bounded by ``max_attempts`` (counting every execution start), and the
@@ -24,6 +25,7 @@ with rather than whatever the defaults have become since.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -140,11 +142,14 @@ def policy_for(kind: str) -> RetryPolicy:
 
 #: Failure shapes worth a retry: environmental, not deterministic.  A job
 #: that raises ``ConfigurationError`` (bad params) or a numerical error will
-#: fail identically on every attempt and is failed immediately instead.
+#: fail identically on every attempt and is failed immediately instead.  A
+#: broken process pool means a worker process died; the task runner builds
+#: a fresh pool for the next attempt.
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     OSError,
     TimeoutError,
     ConnectionError,
+    BrokenExecutor,
 )
 
 
@@ -165,6 +170,8 @@ def transient_reason(exc: BaseException) -> str:
         return "timeout"
     if isinstance(exc, ConnectionError):
         return "connection-error"
+    if isinstance(exc, BrokenExecutor):
+        return "pool-broken"
     if isinstance(exc, OSError):
         return "os-error"
     return type(exc).__name__

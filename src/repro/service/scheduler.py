@@ -1,23 +1,17 @@
-"""Content-addressed job scheduling: dedup and vectorized batching.
+"""Content-addressed job scheduling: a FIFO queue with dedup.
 
-Two ideas from the runtime carry over to the service queue:
+Every job gets a key derived from the runtime's content-addressed task keys
+(callable identity + module source + parameter fingerprint -- see
+:func:`repro.runtime.tasks.task_key` and
+:func:`repro.runtime.cache.execution_key`).  While a job with a given key is
+queued or running, identical submissions attach to it as *followers*: the
+underlying work executes once and every submission observes the same
+result.  Because code versions participate in the keys, editing a kernel or
+experiment driver naturally stops dedup against stale in-flight work.
 
-* **Dedup by content address.**  Every job gets a key derived from the
-  runtime's content-addressed task keys (callable identity + module source +
-  parameter fingerprint -- see :func:`repro.runtime.tasks.task_key` and
-  :func:`repro.runtime.cache.execution_key`).  While a job with a given key
-  is queued or running, identical submissions attach to it as *followers*:
-  the underlying work executes once and every submission observes the same
-  result.  Because code versions participate in the keys, editing a kernel
-  or experiment driver naturally stops dedup against stale in-flight work.
-
-* **Batching onto the vectorized path.**  Analytic sweep jobs are closed-form
-  evaluations over ``(N, M)`` grids.  When a worker claims one, the scheduler
-  hands over *every* queued analytic sweep at once; the batch is grouped by
-  kernel and each group evaluated as a single
-  :func:`repro.runtime.vectorized.cost_grid` array pass over the union grid.
-  Elementwise evaluation guarantees each job's slice of the union grid is
-  bitwise identical to evaluating that job alone.
+Analytic sweep jobs are closed-form evaluations over an ``(N, M)`` grid,
+one :func:`repro.runtime.vectorized.cost_grid` array pass each
+(:func:`analytic_sweep_payload`).
 """
 
 from __future__ import annotations
@@ -33,10 +27,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.analysis.sweep import normalize_memory_sizes
-from repro.core.registry import ComputationSpec, get as registry_get
+from repro.core.registry import get as registry_get
 from repro.exceptions import ConfigurationError, QueueSaturatedError
 from repro.obs import spans as obs_spans
-from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import new_trace_id, normalize_trace_id
 from repro.runtime.cache import execution_key
 from repro.runtime.suites import (
@@ -56,8 +50,6 @@ __all__ = [
     "normalize_job_params",
     "experiment_scenario",
     "analytic_sweep_payload",
-    "evaluate_analytic_sweeps",
-    "is_analytic_sweep",
 ]
 
 ANALYTIC_SWEEP_SCHEMA = "repro-service-analytic-sweep/v1"
@@ -75,11 +67,6 @@ _METRIC_SUBMITTED = REGISTRY.counter(
 _METRIC_DEDUP_ATTACHES = REGISTRY.counter(
     "repro_scheduler_dedup_attaches_total",
     "Submissions attached to an identical in-flight job instead of running.",
-)
-_METRIC_BATCH_JOBS = REGISTRY.histogram(
-    "repro_scheduler_batch_jobs",
-    "Jobs per claimed batch (analytic sweeps ride together).",
-    buckets=SIZE_BUCKETS,
 )
 _METRIC_JOBS_COMPLETED = REGISTRY.counter(
     "repro_jobs_completed_total", "Jobs finished successfully, by kind.",
@@ -209,10 +196,6 @@ def experiment_scenario(experiment: str, params: Mapping[str, Any]) -> Experimen
     )
 
 
-def is_analytic_sweep(job: Job) -> bool:
-    return job.kind == "sweep" and bool(job.params.get("analytic"))
-
-
 def _digest(parts: Sequence[str]) -> str:
     hasher = hashlib.sha256()
     for part in parts:
@@ -254,94 +237,37 @@ def job_key(kind: str, params: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized analytic-sweep path.
+# The analytic-sweep path.
 # ---------------------------------------------------------------------------
-
-
-def _registry_spec(kernel: str) -> ComputationSpec:
-    # The registry may know a kernel under a different name than the CLI
-    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
-    registry_name = build_kernel(kernel).registry_name or kernel
-    return registry_get(registry_name)
-
-
-def _analytic_rows(
-    memory_sizes: Sequence[int],
-    *,
-    costs: Any,
-    intensities: np.ndarray,
-    row_index: int,
-    column_of: Mapping[int, int],
-) -> list[dict[str, float]]:
-    rows = []
-    for size in memory_sizes:
-        j = column_of[size]
-        rows.append(
-            {
-                "memory_words": float(size),
-                "model_intensity": float(intensities[j]),
-                "cost_intensity": float(costs.intensity[row_index, j]),
-                "compute_ops": float(costs.compute_ops[row_index, j]),
-                "io_words": float(costs.io_words[row_index, j]),
-            }
-        )
-    return rows
 
 
 def analytic_sweep_payload(
     kernel: str, memory_sizes: Sequence[int], problem_size: int
 ) -> dict[str, Any]:
     """Evaluate one analytic sweep job (also the dedup key's callable)."""
-    (payload,) = evaluate_analytic_sweeps(
-        [{"kernel": kernel, "memory_sizes": list(memory_sizes), "problem_size": int(problem_size)}]
-    )
-    return payload
-
-
-def evaluate_analytic_sweeps(
-    jobs: Sequence[Mapping[str, Any]],
-) -> list[dict[str, Any]]:
-    """Evaluate many analytic sweep jobs, one array pass per kernel group.
-
-    Jobs sharing a kernel are merged onto the union ``(N, M)`` grid and
-    evaluated with a single :func:`repro.runtime.vectorized.cost_grid` call;
-    each job's rows are then sliced back out of the batch.  Payloads come
-    back in submission order and carry the size of the batch they rode in.
-    """
-    groups: dict[str, list[int]] = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(job["kernel"], []).append(index)
-
-    payloads: list[dict[str, Any] | None] = [None] * len(jobs)
-    for kernel, indices in groups.items():
-        spec = _registry_spec(kernel)
-        problem_sizes = sorted({int(jobs[i]["problem_size"]) for i in indices})
-        memories = sorted(
-            {int(size) for i in indices for size in jobs[i]["memory_sizes"]}
-        )
-        row_of = {size: i for i, size in enumerate(problem_sizes)}
-        column_of = {size: j for j, size in enumerate(memories)}
-        costs = cost_grid(spec, problem_sizes, memories)
-        intensities = spec.batch_intensity(np.asarray(memories, dtype=float))
-        for i in indices:
-            job = jobs[i]
-            payloads[i] = {
-                "schema": ANALYTIC_SWEEP_SCHEMA,
-                "kernel": job["kernel"],
-                "computation": spec.name,
-                "problem_size": int(job["problem_size"]),
-                "memory_sizes": [int(size) for size in job["memory_sizes"]],
-                "rows": _analytic_rows(
-                    job["memory_sizes"],
-                    costs=costs,
-                    intensities=intensities,
-                    row_index=row_of[int(job["problem_size"])],
-                    column_of=column_of,
-                ),
-                "batch_jobs": len(jobs),
-                "batch_grid_points": len(problem_sizes) * len(memories),
+    # The registry may know a kernel under a different name than the CLI
+    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
+    spec = registry_get(build_kernel(kernel).registry_name or kernel)
+    sizes = [int(size) for size in memory_sizes]
+    costs = cost_grid(spec, [int(problem_size)], sizes)
+    intensities = spec.batch_intensity(np.asarray(sizes, dtype=float))
+    return {
+        "schema": ANALYTIC_SWEEP_SCHEMA,
+        "kernel": kernel,
+        "computation": spec.name,
+        "problem_size": int(problem_size),
+        "memory_sizes": sizes,
+        "rows": [
+            {
+                "memory_words": float(size),
+                "model_intensity": float(intensities[j]),
+                "cost_intensity": float(costs.intensity[0, j]),
+                "compute_ops": float(costs.compute_ops[0, j]),
+                "io_words": float(costs.io_words[0, j]),
             }
-    return payloads  # type: ignore[return-value]
+            for j, size in enumerate(sizes)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +281,6 @@ class SchedulerStats:
 
     submitted: int = 0
     deduped: int = 0
-    batches: int = 0
-    batched_jobs: int = 0
     completed: int = 0
     failed: int = 0
     retried: int = 0
@@ -366,8 +290,6 @@ class SchedulerStats:
         return {
             "submitted": self.submitted,
             "deduped": self.deduped,
-            "batches": self.batches,
-            "batched_jobs": self.batched_jobs,
             "completed": self.completed,
             "failed": self.failed,
             "retried": self.retried,
@@ -376,7 +298,7 @@ class SchedulerStats:
 
 
 class JobScheduler:
-    """FIFO job queue with dedup, batching, retry backoff and admission control.
+    """FIFO job queue with dedup, retry backoff and admission control.
 
     All state transitions happen under one condition variable, so a follower
     can never attach to a primary after its result has been fanned out.
@@ -597,13 +519,11 @@ class JobScheduler:
                 return job_id
         return None
 
-    def claim(self, timeout: float | None = None) -> list[Job]:
-        """Pop the next unit of work, marking every claimed job running.
+    def claim(self, timeout: float | None = None) -> Job | None:
+        """Pop the next claimable job and mark it running.
 
-        Returns one job -- or, when the head of the queue is an analytic
-        sweep, every *claimable* queued analytic sweep as one batch (jobs
-        still inside their retry-backoff window stay queued).  Returns
-        ``[]`` on timeout or shutdown.
+        Jobs still inside their retry-backoff window stay queued.  Returns
+        ``None`` on timeout or shutdown.
         """
         with self._cond:
             end = None if timeout is None else time.monotonic() + timeout
@@ -612,10 +532,10 @@ class JobScheduler:
                 if head is not None:
                     break
                 if self._closed:
-                    return []
+                    return None
                 now = time.monotonic()
                 if end is not None and now >= end:
-                    return []
+                    return None
                 wait = None if end is None else end - now
                 held = [
                     self._not_before[job_id] - now
@@ -626,45 +546,10 @@ class JobScheduler:
                     soonest = max(0.001, min(held))
                     wait = soonest if wait is None else min(wait, soonest)
                 self._cond.wait(wait)
-            batch = [self.store.get(head)]
-            if is_analytic_sweep(batch[0]):
-                now = time.monotonic()
-                rest: deque[str] = deque()
-                while self._queue:
-                    job_id = self._queue.popleft()
-                    job = self.store.get(job_id)
-                    if (
-                        is_analytic_sweep(job)
-                        and self._not_before.get(job_id, 0.0) <= now
-                    ):
-                        self._not_before.pop(job_id, None)
-                        batch.append(job)
-                    else:
-                        rest.append(job_id)
-                self._queue = rest
-                if len(batch) > 1:
-                    self.stats.batches += 1
-                    self.stats.batched_jobs += len(batch)
             _METRIC_QUEUE_DEPTH.set(len(self._queue))
-            _METRIC_BATCH_JOBS.observe(len(batch))
-            claim_wall = time.time()
-            for job in batch:
-                self.store.mark_running(job)
-                # A zero-length marker on each claimed job's trace: when the
-                # claim rode a vectorized batch, the trace says so (and how
-                # many jobs shared the array pass).
-                root = getattr(job, "root_span", None)
-                if root is not None:
-                    obs_spans.record_span(
-                        "scheduler.batch",
-                        "scheduler",
-                        trace_id=job.trace_id,
-                        parent_id=root.span_id,
-                        start_wall=claim_wall,
-                        duration=0.0,
-                        attributes={"batch_jobs": len(batch)},
-                    )
-            return batch
+            job = self.store.get(head)
+            self.store.mark_running(job)
+            return job
 
     def finish(self, job: Job, result: Any) -> None:
         """Complete a job; its followers observe the same result."""

@@ -1,11 +1,12 @@
 """Workers: bridging the job queue onto the existing task runtime.
 
 A :class:`JobExecutor` owns the shared runtime state -- one
-:class:`~repro.runtime.cache.ResultCache` / :class:`~repro.runtime.cache.TaskCache`
-pair and one :class:`~repro.runtime.tasks.TaskRunner` -- so every job served
-by the process shares the warm caches and the dedup/stat counters, exactly
-as a long-lived front end should (the point of the service layer is to stop
-paying one-shot CLI costs per request).  Determinism carries over unchanged:
+:class:`~repro.runtime.engine.SweepRunner` wrapping the runtime's one
+:class:`~repro.runtime.tasks.TaskRunner`, with its cache and its process
+pool -- so every job served by the process shares the warm cache, the
+worker processes and the dedup/stat counters, exactly as a long-lived front
+end should (the point of the service layer is to stop paying one-shot CLI
+costs per request).  Determinism carries over unchanged:
 jobs lower onto the same task builders and sweep plans the CLI uses, and the
 runtime guarantees serial == parallel bitwise.
 
@@ -30,21 +31,20 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.service.retry import is_transient, transient_reason
-from repro.runtime.cache import ResultCache, TaskCache
+from repro.runtime.cache import TaskCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.suites import (
     EXPERIMENT_PAYLOAD_SCHEMA,
     build_kernel,
     get_suite,
     run_suite,
+    task_runner_for,
 )
-from repro.runtime.tasks import TaskRunner
 from repro.service.jobs import Job, JobStore
 from repro.service.scheduler import (
     JobScheduler,
-    evaluate_analytic_sweeps,
+    analytic_sweep_payload,
     experiment_scenario,
-    is_analytic_sweep,
 )
 from repro.store.core import ResultStore
 from repro.store.query import query, report_document
@@ -80,16 +80,12 @@ class ExecutorStats:
     """Counters accumulated over the lifetime of a :class:`JobExecutor`."""
 
     jobs_executed: int = 0
-    vector_batches: int = 0
-    vector_jobs: int = 0
     results_recorded: int = 0
     record_failures: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "jobs_executed": self.jobs_executed,
-            "vector_batches": self.vector_batches,
-            "vector_jobs": self.vector_jobs,
             "results_recorded": self.results_recorded,
             "record_failures": self.record_failures,
         }
@@ -106,53 +102,28 @@ class JobExecutor:
         max_workers: int | None = None,
     ) -> None:
         root = Path(cache_dir).expanduser() if cache_dir else None
-        self.result_cache = ResultCache(root) if root else None
-        self.task_cache = TaskCache(root / "tasks") if root else None
         self.result_store = ResultStore(root / "store") if root else None
-        self.parallel = parallel
-        self.max_workers = max_workers
-        self.task_runner = TaskRunner(
-            parallel=parallel, max_workers=max_workers, cache=self.task_cache
+        self.sweep_runner = SweepRunner(
+            parallel=parallel,
+            max_workers=max_workers,
+            cache=TaskCache(root) if root else None,
         )
+        self.task_runner = task_runner_for(self.sweep_runner)
         self.stats = ExecutorStats()
         self._stats_lock = threading.Lock()
 
-    def sweep_runner(self) -> SweepRunner:
-        return SweepRunner(
-            parallel=self.parallel,
-            max_workers=self.max_workers,
-            cache=self.result_cache,
-        )
+    def close(self) -> None:
+        """Shut down the process pool; the next parallel job starts a new one."""
+        self.task_runner.close()
 
     # -- job execution -------------------------------------------------------
-
-    def execute_batch(self, jobs: list[Job]) -> list[dict[str, Any]]:
-        """Resolve one claimed batch to result payloads, in claim order.
-
-        A batch is either one job of any kind, or several analytic sweeps
-        (the scheduler's vectorized-batching contract).
-        """
-        if len(jobs) > 1 or (jobs and is_analytic_sweep(jobs[0])):
-            start = time.perf_counter()
-            payloads = evaluate_analytic_sweeps([job.params for job in jobs])
-            elapsed = time.perf_counter() - start
-            with self._stats_lock:
-                self.stats.jobs_executed += len(jobs)
-                self.stats.vector_batches += 1
-                self.stats.vector_jobs += len(jobs)
-            # Each job in a vectorized batch observes the whole batch's wall
-            # time: that *is* the latency any one of them experienced.
-            for job in jobs:
-                _METRIC_JOB_SECONDS.labels(kind=job.kind).observe(elapsed)
-            return payloads
-        return [self.execute(job) for job in jobs]
 
     def execute(self, job: Job) -> dict[str, Any]:
         with self._stats_lock:
             self.stats.jobs_executed += 1
         start = time.perf_counter()
         # Bind the job's trace for the duration: anything that reads
-        # ``current_trace_id()`` below this frame (task labels, error
+        # ``current_trace_id()`` below this frame (history records, error
         # messages) attributes its work to this submission.  The execution
         # span parents under the job's root (opened at submission) so the
         # trace tree separates queue wait from run time; recovered jobs
@@ -181,23 +152,24 @@ class JobExecutor:
 
     def _execute_suite(self, job: Job) -> dict[str, Any]:
         suite = get_suite(job.params["suite"])
-        result = run_suite(suite, self.sweep_runner(), task_runner=self.task_runner)
-        return result.as_dict()
+        return run_suite(suite, self.sweep_runner).as_dict()
 
     def _execute_experiment(self, job: Job) -> dict[str, Any]:
         scenario = experiment_scenario(
             job.params["experiment"], job.params["params"]
         )
-        # Trace-tagged display names (content-addressed keys unchanged): a
-        # task failure inside a worker then names the submission's trace.
-        tasks = obs_trace.tag_tasks(scenario.tasks(), job.trace_id)
+        tasks = scenario.tasks()
         results = self.task_runner.run(tasks)
         return scenario.as_payload(results, task_keys=[task.key() for task in tasks])
 
     def _execute_sweep(self, job: Job) -> dict[str, Any]:
         params = job.params
+        if params.get("analytic"):
+            return analytic_sweep_payload(
+                params["kernel"], params["memory_sizes"], params["problem_size"]
+            )
         kernel = build_kernel(params["kernel"])
-        sweep = self.sweep_runner().run_default(
+        sweep = self.sweep_runner.run_default(
             kernel, params["memory_sizes"], params["scale"]
         )
         try:
@@ -274,22 +246,16 @@ class JobExecutor:
                 self.stats.record_failures += 1
 
     def cache_stats(self) -> dict[str, Any]:
-        """Live stats for both caches, including size on disk."""
-        payload: dict[str, Any] = {"cache_dir": None, "results": None, "tasks": None}
-        if self.result_cache is not None:
-            payload["cache_dir"] = str(self.result_cache.root)
-            payload["results"] = {
-                **self.result_cache.stats.as_dict(),
-                "entries": len(self.result_cache),
-                "disk_usage_bytes": self.result_cache.disk_usage_bytes(),
-            }
-        if self.task_cache is not None:
+        """Live stats for the cache and the result store, with sizes on disk."""
+        cache = self.task_runner.cache
+        payload: dict[str, Any] = {"cache_dir": None, "tasks": None, "store": None}
+        if cache is not None:
+            payload["cache_dir"] = str(cache.root)
             payload["tasks"] = {
-                **self.task_cache.stats.as_dict(),
-                "entries": len(self.task_cache),
-                "disk_usage_bytes": self.task_cache.disk_usage_bytes(),
+                **cache.stats.as_dict(),
+                "entries": len(cache),
+                "disk_usage_bytes": cache.disk_usage_bytes(),
             }
-        payload["store"] = None
         if self.result_store is not None:
             payload["store"] = {
                 **self.result_store.stats.as_dict(),
@@ -304,7 +270,7 @@ class JobExecutor:
 class WorkerPool:
     """N supervised daemon threads draining the scheduler into the executor.
 
-    Every claimed batch is registered in an in-flight map before execution
+    Every claimed job is registered in an in-flight map before execution
     begins.  A *supervisor* thread watches the workers: when one dies --
     the chaos suite's ``task-crash`` fault, or any real bug that escapes
     the per-job guard -- the supervisor requeues its in-flight jobs through
@@ -337,7 +303,7 @@ class WorkerPool:
         self.supervise_interval = supervise_interval
         self._lock = threading.Lock()
         self._workers: dict[str, threading.Thread] = {}
-        self._inflight: dict[str, list[str]] = {}  # thread name -> job ids
+        self._inflight: dict[str, str] = {}  # thread name -> job id
         self._supervisor: threading.Thread | None = None
         self._next_index = 0
         self._stop = threading.Event()
@@ -417,8 +383,8 @@ class WorkerPool:
             self.hung_workers = hung
             self._workers = {}
             self._inflight = {
-                name: jobs
-                for name, jobs in self._inflight.items()
+                name: job_id
+                for name, job_id in self._inflight.items()
                 if name in hung
             }
         return not hung
@@ -437,44 +403,26 @@ class WorkerPool:
     def _loop(self) -> None:
         name = threading.current_thread().name
         while not self._stop.is_set():
-            batch = self.scheduler.claim(timeout=0.1)
-            if not batch:
+            job = self.scheduler.claim(timeout=0.1)
+            if job is None:
                 continue
             with self._lock:
-                self._inflight[name] = [job.id for job in batch]
+                self._inflight[name] = job.id
             try:
                 # The task-crash injection point sits between claim and
                 # execute -- the job is marked running and registered
                 # in-flight, exactly the window a real crash strands work.
                 # slow-task stalls here too, simulating a wedged job.
-                maybe_inject("task-crash", site=f"{name}:{batch[0].kind}")
-                maybe_inject("slow-task", site=f"{name}:{batch[0].kind}")
-                payloads = self.executor.execute_batch(batch)
+                maybe_inject("task-crash", site=f"{name}:{job.kind}")
+                maybe_inject("slow-task", site=f"{name}:{job.kind}")
+                payload = self.executor.execute(job)
             except Exception as exc:  # noqa: BLE001 - jobs must never kill a worker
                 with self._lock:
                     self._inflight.pop(name, None)
-                if len(batch) > 1:
-                    # One bad job must not poison the unrelated analytic
-                    # sweeps that happened to ride the same batch: retry each
-                    # alone so only the actual offenders fail.
-                    for job in batch:
-                        self._run_alone(job)
-                else:
-                    self._resolve_failure(batch[0], exc)
+                self._resolve_failure(job, exc)
                 continue
             with self._lock:
                 self._inflight.pop(name, None)
-            for job, payload in zip(batch, payloads):
-                self.executor.record_payload(job, payload)
-                self.scheduler.finish(job, payload)
-                self.executor.record_trace(job)
-
-    def _run_alone(self, job: Job) -> None:
-        try:
-            (payload,) = self.executor.execute_batch([job])
-        except Exception as exc:  # noqa: BLE001 - jobs must never kill a worker
-            self._resolve_failure(job, exc)
-        else:
             self.executor.record_payload(job, payload)
             self.scheduler.finish(job, payload)
             self.executor.record_trace(job)
@@ -510,7 +458,8 @@ class WorkerPool:
             ]
             orphans: list[str] = []
             for name in dead:
-                orphans.extend(self._inflight.pop(name, []))
+                if name in self._inflight:
+                    orphans.append(self._inflight.pop(name))
                 del self._workers[name]
             respawned = 0
             if not self._stop.is_set():
@@ -591,8 +540,13 @@ class JobService:
         return self
 
     def stop(self, timeout: float = 5.0) -> bool:
-        """Stop the worker pool; ``False`` when the stop was unclean."""
-        return self.pool.stop(timeout)
+        """Stop the worker threads and the process pool.
+
+        Returns ``False`` when the stop was unclean.
+        """
+        clean = self.pool.stop(timeout)
+        self.executor.close()
+        return clean
 
     @property
     def draining(self) -> bool:
@@ -616,7 +570,7 @@ class JobService:
             time.sleep(0.05)
         counts = self.store.state_counts()
         drained = counts.get("queued", 0) == 0 and counts.get("running", 0) == 0
-        clean = self.pool.stop(max(1.0, deadline - time.monotonic()))
+        clean = self.stop(max(1.0, deadline - time.monotonic()))
         if not drained:
             _LOG.warning(
                 "drain timed out with %d queued and %d running job(s); "

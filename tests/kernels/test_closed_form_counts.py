@@ -79,6 +79,16 @@ def test_infeasible_tile_shape_rejected_before_running(tile_shape, memory):
         kernel.execute(memory, **problem)
 
 
+def test_lu_analytic_cost_rejects_a_non_square_operand():
+    kernel = BlockedLUTriangularization()
+    a = np.ones((4, 6))
+    message = "triangularization requires a square matrix"
+    with pytest.raises(ConfigurationError, match=message):
+        kernel.analytic_cost(48, a=a)
+    with pytest.raises(ConfigurationError, match=message):
+        kernel.execute(48, a=a)
+
+
 def test_tile_shape_that_just_fits_runs_at_full_memory():
     """``rows * cols + rows + cols == M`` leaves exactly one-wide chunks."""
     kernel = BlockedMatrixMultiply(tile_shape=(3, 4))

@@ -62,6 +62,20 @@ class TestBlockedLUCorrectness:
         with pytest.raises(ConfigurationError):
             BlockedLUTriangularization().execute(48, a=rng.standard_normal((4, 6)))
 
+    def test_zero_last_pivot_of_a_non_final_block_rejected(self):
+        # At M = 12 the tile side is 2: the first block's last pivot turns
+        # zero after elimination and would divide the column panel below.
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ConfigurationError, match="zero pivot encountered"):
+            unblocked_lu(a)
+        with pytest.raises(ConfigurationError, match="zero pivot encountered"):
+            BlockedLUTriangularization().execute(12, a=a)
+
+    def test_zero_final_pivot_is_never_a_divisor(self):
+        a = np.array([[2.0, 1.0], [4.0, 2.0]])
+        execution = BlockedLUTriangularization().execute(12, a=a)
+        np.testing.assert_array_equal(execution.output, unblocked_lu(a))
+
     def test_verify_helper(self):
         kernel = BlockedLUTriangularization()
         problem = kernel.default_problem(10)

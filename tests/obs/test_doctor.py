@@ -22,16 +22,9 @@ from repro.obs.doctor import (
 from repro.service.jobs import JobStore
 
 
-def _write_result_entry(root, key, payload=None):
-    """One syntactically valid sweep-point cache entry in shard layout."""
-    path = root / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload or {"schema": "repro-cache-test/v1"}))
-    return path
-
-
 def _write_task_entry(root, key):
-    path = root / "tasks" / key[:2] / f"{key}.pkl"
+    """One syntactically valid cache entry in shard layout."""
+    path = root / key[:2] / f"{key}.pkl"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(pickle.dumps({"schema": "repro-task-test/v1"}))
     return path
@@ -47,25 +40,25 @@ class TestCacheIntegrity:
         assert [f.status for f in findings] == [WARN]
 
     def test_clean_cache_passes(self, tmp_path):
-        _write_result_entry(tmp_path, "aa11")
+        _write_task_entry(tmp_path, "aa11")
         _write_task_entry(tmp_path, "bb22")
         statuses = _by_check(check_cache_integrity(tmp_path))
-        assert statuses["cache.results"].status == PASS
         assert statuses["cache.tasks"].status == PASS
+        assert statuses["cache.tasks"].data["entries"] == 2
         assert statuses["cache.disk"].status == PASS
 
     def test_corrupt_entry_fails(self, tmp_path):
-        path = _write_result_entry(tmp_path, "aa11")
+        path = _write_task_entry(tmp_path, "aa11")
         path.write_text("{ not json")
-        finding = _by_check(check_cache_integrity(tmp_path))["cache.results"]
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.tasks"]
         assert finding.status == FAIL
         assert finding.data["corrupt"] == 1
         assert str(path) in finding.data["bad_paths"]
 
     def test_truncated_entry_fails(self, tmp_path):
-        path = _write_result_entry(tmp_path, "aa11")
+        path = _write_task_entry(tmp_path, "aa11")
         path.write_bytes(b"")
-        finding = _by_check(check_cache_integrity(tmp_path))["cache.results"]
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.tasks"]
         assert finding.status == FAIL
         assert finding.data["truncated"] == 1
 
@@ -76,17 +69,17 @@ class TestCacheIntegrity:
         assert finding.status == FAIL
 
     def test_orphaned_tmp_files_warn(self, tmp_path):
-        _write_result_entry(tmp_path, "aa11")
+        _write_task_entry(tmp_path, "aa11")
         (tmp_path / "aa" / "aa11-x.tmp").write_text("partial write")
         statuses = _by_check(check_cache_integrity(tmp_path))
-        assert statuses["cache.results.orphans"].status == WARN
+        assert statuses["cache.tasks.orphans"].status == WARN
         assert statuses["cache.disk"].status == WARN  # unaccounted bytes
 
     def test_misplaced_entry_warns(self, tmp_path):
-        path = tmp_path / "zz" / "aa11.json"
+        path = tmp_path / "zz" / "aa11.pkl"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"schema": "x"}))
-        finding = _by_check(check_cache_integrity(tmp_path))["cache.results"]
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.tasks"]
         assert finding.status == WARN
         assert finding.data["misplaced"] == 1
 
@@ -142,7 +135,7 @@ class TestStoreIntegrity:
         (path.parent / "leftover.tmp").write_text("partial")
         statuses = _by_check(check_cache_integrity(tmp_path))
         assert statuses["cache.store.orphans"].status == WARN
-        assert "cache.results.orphans" not in statuses
+        assert "cache.tasks.orphans" not in statuses
 
 
 class TestJournal:
@@ -343,14 +336,14 @@ class TestReport:
 
 class TestRunDoctor:
     def test_detects_corruption_end_to_end(self, tmp_path):
-        _write_result_entry(tmp_path / "cache", "aa11").write_text("garbage")
+        _write_task_entry(tmp_path / "cache", "aa11").write_text("garbage")
         journal = tmp_path / "jobs.jsonl"
         store = JobStore(journal)
         store.mark_done(store.create("suite", {"suite": "quick"}), {"ok": 1})
         report = run_doctor(cache_dir=tmp_path / "cache", state_path=journal)
         assert report.exit_code == 1
         failed = [f.check for f in report.findings if f.status == FAIL]
-        assert failed == ["cache.results"]
+        assert failed == ["cache.tasks"]
 
     def test_skips_liveness_without_port(self):
         report = run_doctor()
@@ -359,7 +352,7 @@ class TestRunDoctor:
 
 class TestDoctorCli:
     def test_json_to_stdout_and_exit_codes(self, tmp_path, capsys):
-        _write_result_entry(tmp_path / "cache", "aa11")
+        _write_task_entry(tmp_path / "cache", "aa11")
         code = main(
             ["doctor", "--cache-dir", str(tmp_path / "cache"), "--json"]
         )
@@ -368,7 +361,7 @@ class TestDoctorCli:
         assert code == 0
 
         # Corrupt the entry: same invocation now fails.
-        (tmp_path / "cache" / "aa" / "aa11.json").write_text("garbage")
+        (tmp_path / "cache" / "aa" / "aa11.pkl").write_text("garbage")
         code = main(
             ["doctor", "--cache-dir", str(tmp_path / "cache"), "--json"]
         )

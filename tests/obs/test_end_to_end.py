@@ -161,8 +161,8 @@ class TestMetricsEndpoint:
         assert delta('repro_job_seconds_count{kind="sweep"}') == 2
         assert delta('repro_jobs_submitted_total{kind="sweep"}') == 2
         assert delta('repro_jobs_completed_total{kind="sweep"}') == 2
-        # The warm identical sweep replays its points from the result cache.
-        assert delta('repro_cache_hits_total{cache="results"}') > 0
+        # The warm identical sweep replays its points from the cache.
+        assert delta('repro_cache_hits_total{cache="tasks"}') > 0
         # The experiment lowered onto the task runtime.
         assert delta("repro_tasks_executed_total") >= 1
         # Everything drained: the queue-depth gauge is back to zero.

@@ -1,14 +1,13 @@
-"""Tests for the content-addressed result cache."""
+"""Tests for the content-addressed task cache and its keys."""
 
 from __future__ import annotations
 
-import json
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.kernels.grid import GridRelaxation
 from repro.kernels.matmul import BlockedMatrixMultiply
 from repro.runtime.cache import (
@@ -68,15 +67,15 @@ class TestExecutionKey:
 
 
 class TestResultCache:
+    """``ResultCache`` is the task cache; sweep points are keyed by
+    :func:`execution_key` and hold the slim execution record."""
+
     def test_miss_then_hit_roundtrip(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
-        assert cache.load(key) is None
+        key = execution_key(kernel, 27, problem)
+        assert cache.load(key) is MISS
         cache.store(key, execution)
         cached = cache.load(key)
-        assert cached is not None
-        assert cached.from_cache
-        assert cached.output is None
         assert cached.cost.compute_ops == execution.cost.compute_ops
         assert cached.cost.io_words == execution.cost.io_words
         assert cached.intensity == execution.intensity
@@ -89,55 +88,37 @@ class TestResultCache:
         kernel, problem, execution = _one_execution()
         for memory in (12, 27, 48):
             run = kernel.execute(memory, **problem)
-            cache.store(cache.key_for(kernel, memory, problem), run)
+            cache.store(execution_key(kernel, memory, problem), run)
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
-        assert cache.load(cache.key_for(kernel, 12, problem)) is None
+        assert cache.load(execution_key(kernel, 12, problem)) is MISS
 
     def test_corrupt_entry_is_a_miss_and_removed(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = execution_key(kernel, 27, problem)
         cache.store(key, execution)
         path = cache._path(key)
-        path.write_text("{not json")
-        assert cache.load(key) is None
+        path.write_text("{not a pickle")
+        assert cache.load(key) is MISS
         assert not path.exists()
 
     def test_wrong_schema_is_a_miss(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = execution_key(kernel, 27, problem)
         cache.store(key, execution)
         path = cache._path(key)
-        entry = json.loads(path.read_text())
+        entry = pickle.loads(path.read_bytes())
         entry["schema"] = 999
-        path.write_text(json.dumps(entry))
-        assert cache.load(key) is None
-
-    def test_refuses_to_store_cached_replay_without_output(self, cache):
-        kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
-        cache.store(key, execution)
-        replay = cache.load(key)
-        fake = type(replay)(
-            kernel_name=replay.kernel_name,
-            memory_words=replay.memory_words,
-            problem=replay.problem,
-            output=None,
-            cost=replay.cost,
-            peak_memory_words=replay.peak_memory_words,
-            phases=replay.phases,
-            from_cache=False,
-        )
-        with pytest.raises(ConfigurationError):
-            cache.store(key, fake)
+        path.write_bytes(pickle.dumps(entry))
+        assert cache.load(key) is MISS
 
 
 class TestDiskUsage:
     def test_result_cache_reports_entry_bytes(self, cache):
         assert cache.disk_usage_bytes() == 0
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = execution_key(kernel, 27, problem)
         cache.store(key, execution)
         usage = cache.disk_usage_bytes()
         assert usage == cache._path(key).stat().st_size > 0
@@ -204,7 +185,7 @@ class TestConcurrentWriters:
     def test_racing_result_stores_agree(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = execution_key(kernel, 27, problem)
         start = threading.Barrier(4)
         misses_before = cache.stats.misses
 
@@ -219,7 +200,7 @@ class TestConcurrentWriters:
             start.wait()
             for _ in range(40):
                 entry = cache.load(key)
-                if entry is not None:
+                if entry is not MISS:
                     loaded.append(entry)
 
         threads = [threading.Thread(target=write) for _ in range(2)]

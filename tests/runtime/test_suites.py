@@ -266,7 +266,9 @@ class TestRunSuiteExperiments:
         task_runner = task_runner_for(runner)
         assert task_runner.parallel is True
         assert task_runner.max_workers == 3
-        assert task_runner.cache.root == cache.root / "tasks"
+        # Points and experiment tasks share one cache and one pool.
+        assert task_runner is runner.task_runner
+        assert task_runner.cache is cache
         assert task_runner_for(SweepRunner()).cache is None
 
     def test_explicit_task_runner_is_used(self, mini_experiment_suite, tmp_path):

@@ -9,7 +9,7 @@ from repro.exceptions import ConfigurationError
 from repro.kernels.fft import BlockedFFT
 from repro.kernels.matmul import BlockedMatrixMultiply
 from repro.runtime.cache import ResultCache
-from repro.runtime.engine import SweepPlan, SweepRunner, run_sweep
+from repro.runtime.engine import SweepPlan, SweepRunner
 
 MEMORIES = (12, 27, 48)
 SCALE = 12
@@ -52,10 +52,6 @@ class TestSerialRuntime:
         legacy = MemorySweep(BlockedMatrixMultiply()).run(MEMORIES, a=a, b=b)
         runtime = SweepRunner().run(BlockedMatrixMultiply(), MEMORIES, a=a, b=b)
         assert runtime.intensities == legacy.intensities
-
-    def test_run_sweep_convenience(self):
-        result = run_sweep(BlockedMatrixMultiply(), MEMORIES, scale=SCALE)
-        assert len(result.executions) == len(MEMORIES)
 
 
 class TestParallelRuntime:
@@ -103,8 +99,9 @@ class TestCachedRuntime:
         )
         assert cache.stats.hits == len(MEMORIES)
         assert warm.intensities == cold.intensities
-        assert all(e.from_cache for e in warm.executions)
-        assert not any(e.from_cache for e in cold.executions)
+        # Cold and warm runs both return the slim point record.
+        assert warm.executions == cold.executions
+        assert all(e.output is None for e in cold.executions)
 
     def test_different_scale_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import time
 
 import pytest
 
@@ -13,10 +15,10 @@ from repro.runtime.tasks import (
     TaskRunner,
     callable_code_version,
     default_worker_count,
-    execute_tasks,
-    run_tasks,
     task_key,
 )
+from repro.service import JobService
+from repro.service.retry import is_transient
 
 
 def square(x: int) -> int:
@@ -122,7 +124,9 @@ class TestTaskRunner:
 
     def test_results_preserve_submission_order(self):
         tasks = [Task(fn=square, params={"x": x}) for x in (5, 1, 4, 2)]
-        assert run_tasks(tasks, parallel=True, max_workers=2) == [25, 1, 16, 4]
+        runner = TaskRunner(parallel=True, max_workers=2)
+        assert runner.run(tasks) == [25, 1, 16, 4]
+        runner.close()
 
     def test_warm_rerun_replays_from_cache(self, tmp_path):
         cache = TaskCache(tmp_path / "tasks")
@@ -155,9 +159,9 @@ class TestTaskRunner:
 class TestExecuteTasks:
     def test_parallel_pool_produces_submission_order(self):
         tasks = [Task(fn=square, params={"x": x}) for x in range(8)]
-        assert execute_tasks(tasks, parallel=True, max_workers=3) == [
-            x * x for x in range(8)
-        ]
+        runner = TaskRunner(parallel=True, max_workers=3)
+        assert runner.run(tasks) == [x * x for x in range(8)]
+        runner.close()
 
 
 def test_default_worker_count_positive():
@@ -175,7 +179,7 @@ class TestFailureLabels:
             Task(fn=boom, params={"x": 3}, name="doomed-task"),
         ]
         with pytest.raises(TaskExecutionError) as excinfo:
-            execute_tasks(tasks, parallel=False, max_workers=1)
+            TaskRunner().run(tasks)
         assert excinfo.value.label == "doomed-task"
         assert "doomed-task" in str(excinfo.value)
         assert "cannot handle x=3" in str(excinfo.value)
@@ -185,8 +189,10 @@ class TestFailureLabels:
         tasks = [Task(fn=square, params={"x": 1})] + [
             Task(fn=boom, params={"x": x}, name=f"doomed-{x}") for x in (7, 8)
         ]
+        runner = TaskRunner(parallel=True, max_workers=2)
         with pytest.raises(TaskExecutionError) as excinfo:
-            execute_tasks(tasks, parallel=True, max_workers=2)
+            runner.run(tasks)
+        runner.close()
         # The first failure in submission order wins, as in a serial run.
         assert excinfo.value.label == "doomed-7"
 
@@ -217,12 +223,6 @@ class TestInBatchDedup:
         assert runner.stats.executed == 3
         assert runner.stats.deduped == 3
 
-    def test_dedup_can_be_disabled(self):
-        runner = TaskRunner(dedup=False)
-        runner.run([Task(fn=square, params={"x": 3}) for _ in range(4)])
-        assert runner.stats.executed == 4
-        assert runner.stats.deduped == 0
-
     def test_dedup_composes_with_the_cache(self, tmp_path):
         cache = TaskCache(tmp_path / "tasks")
         runner = TaskRunner(cache=cache)
@@ -245,3 +245,79 @@ class TestInBatchDedup:
             "cache_hits": 0,
             "deduped": 2,
         }
+
+
+def pid(x: int) -> int:
+    return os.getpid()
+
+
+def parent_pid(x: int) -> int:
+    return os.getppid()
+
+
+def die(x: int) -> int:
+    os._exit(1)
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> set[int]:
+    """The pids still alive after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        for p in list(alive):
+            try:
+                os.kill(p, 0)
+            except ProcessLookupError:
+                alive.discard(p)
+        time.sleep(0.02)
+    return alive
+
+
+class TestLongLivedPool:
+    def _pid_tasks(self, first: int = 0) -> list[Task]:
+        return [Task(fn=pid, params={"x": x}) for x in range(first, first + 4)]
+
+    def test_workers_are_reused_across_runs(self):
+        runner = TaskRunner(parallel=True, max_workers=2)
+        try:
+            first = set(runner.run(self._pid_tasks()))
+            second = set(runner.run(self._pid_tasks(first=4)))
+        finally:
+            runner.close()
+        # A pool per batch would show two fresh workers the second time.
+        assert len(first | second) <= 2
+        assert os.getpid() not in first | second
+
+    def test_dead_worker_is_transient_and_the_runner_recovers(self):
+        runner = TaskRunner(parallel=True, max_workers=2)
+        try:
+            with pytest.raises(Exception) as excinfo:
+                runner.run([Task(fn=die, params={"x": x}) for x in range(2)])
+            assert is_transient(excinfo.value)
+            assert runner.run([Task(fn=square, params={"x": x}) for x in range(3)]) == [
+                0, 1, 4,
+            ]
+        finally:
+            runner.close()
+
+    def test_workers_are_not_forked_from_the_caller(self):
+        runner = TaskRunner(parallel=True, max_workers=2)
+        try:
+            parents = runner.run([Task(fn=parent_pid, params={"x": x}) for x in range(4)])
+        finally:
+            runner.close()
+        # fork() would make this process every worker's parent; forkserver
+        # workers are children of the fork server.
+        assert os.getpid() not in parents
+
+    def test_no_worker_outlives_close_or_drain(self, tmp_path):
+        runner = TaskRunner(parallel=True, max_workers=2)
+        pids = set(runner.run(self._pid_tasks()))
+        runner.close()
+        assert _wait_gone(pids) == set()
+
+        service = JobService(cache_dir=tmp_path / "cache", workers=1, max_workers=2)
+        service.start()
+        pids = set(service.executor.task_runner.run(self._pid_tasks()))
+        assert service.drain(timeout=5.0) is True
+        assert _wait_gone(pids) == set()

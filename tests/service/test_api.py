@@ -57,7 +57,7 @@ class TestEndpoints:
         stats = client.cache_stats()
         assert stats["tasks"]["entries"] >= 1
         assert stats["tasks"]["disk_usage_bytes"] > 0
-        assert stats["results"]["entries"] == 0
+        assert stats["store"]["runs"] >= 1
         assert stats["task_runner"]["executed"] >= 1
 
     def test_submit_and_fetch_result(self, live_service):
@@ -110,10 +110,10 @@ class TestEndpoints:
         service, client = live_service(start=False)
         job = client.submit("experiment", {"experiment": "warp"})
 
-        def explode(jobs):
+        def explode(job):
             raise RuntimeError("boom")
 
-        service.executor.execute_batch = explode
+        service.executor.execute = explode
         service.start()
         with pytest.raises(ServiceError) as excinfo:
             client.wait(job["id"])
@@ -218,38 +218,11 @@ class TestAcceptance:
         assert service.executor.stats.jobs_executed == 1
         # The underlying sweep tasks ran exactly once: one store per point,
         # no hits (nothing was ever resolved twice).
-        cache_stats = service.executor.result_cache.stats
+        cache_stats = service.executor.task_runner.cache.stats
         assert cache_stats.stores == 3
         assert cache_stats.hits == 0
         rows = [document["result"]["rows"] for document in documents]
         assert all(entry == rows[0] for entry in rows)
-
-
-class TestVectorizedBatching:
-    def test_queued_analytic_sweeps_ride_one_batch(self, live_service):
-        service, client = live_service(start=False, workers=1)
-        jobs = [
-            client.submit(
-                "sweep",
-                {
-                    "kernel": "matmul",
-                    "memory_sizes": [16 * (i + 1), 64 * (i + 1)],
-                    "problem_size": 1024,
-                    "analytic": True,
-                },
-            )
-            for i in range(4)
-        ]
-        service.start()
-        documents = [client.wait(job["id"]) for job in jobs]
-        assert service.scheduler.stats.batches == 1
-        assert service.scheduler.stats.batched_jobs == 4
-        assert service.executor.stats.vector_batches == 1
-        for document in documents:
-            assert document["result"]["schema"].startswith(
-                "repro-service-analytic-sweep/"
-            )
-            assert document["result"]["batch_jobs"] == 4
 
 
 class TestBatchFailureIsolation:
@@ -258,14 +231,14 @@ class TestBatchFailureIsolation:
     ):
         import repro.service.workers as workers_module
 
-        real = workers_module.evaluate_analytic_sweeps
+        real = workers_module.analytic_sweep_payload
 
-        def picky(jobs):
-            if any(job["kernel"] == "fft" for job in jobs):
+        def picky(kernel, memory_sizes, problem_size):
+            if kernel == "fft":
                 raise RuntimeError("fft evaluation exploded")
-            return real(jobs)
+            return real(kernel, memory_sizes, problem_size)
 
-        monkeypatch.setattr(workers_module, "evaluate_analytic_sweeps", picky)
+        monkeypatch.setattr(workers_module, "analytic_sweep_payload", picky)
 
         service, client = live_service(start=False, workers=1)
         good = client.submit(

@@ -362,19 +362,19 @@ class TestCacheCommand:
         from repro.runtime import TaskCache
 
         root = tmp_path / "cache"
-        TaskCache(root / "tasks").store("ab" * 32, {"value": 1})
+        TaskCache(root).store("ab" * 32, {"value": 1})
         assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
         output = capsys.readouterr().out
         assert "task results  : 1 entries" in output
-        assert "sweep points  : 0 entries" in output
+        assert "result store  : 0 runs" in output
         assert str(root) in output
 
     def test_clear_removes_everything(self, tmp_path, capsys):
         from repro.runtime import TaskCache
 
         root = tmp_path / "cache"
-        TaskCache(root / "tasks").store("ab" * 32, {"value": 1})
-        TaskCache(root / "tasks").store("cd" * 32, {"value": 2})
+        TaskCache(root).store("ab" * 32, {"value": 1})
+        TaskCache(root).store("cd" * 32, {"value": 2})
         assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
         assert "removed 2 cache entries" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
